@@ -12,9 +12,19 @@
 #   - a "linear form" is a coefficient tuple over the target variables
 #   - lexicographic order on exponent tuples is the monomial order used by
 #     exact division (it is a well-order, so division always terminates)
+#
+# Linear algebra (nullspace, solve_linear, rank) goes through one certified
+# elimination path, _eliminate.  Each row is scaled to integers and a
+# streaming elimination mod the prime p = 2^61 - 1 picks at most cols rows
+# that are independent mod p, hence independent over Q.  The exact Fraction
+# RREF runs on those rows only, and its answer is certified over Q against
+# every input row before it is returned.  A certified answer is the one the
+# RREF of all rows gives, bit for bit; if the certificate fails (an unlucky
+# prime), the same RREF runs on all rows.  No mod-p value is ever returned.
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from . import _speed as _sp
 
@@ -476,12 +486,16 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        assert len(entries) == rows, (rows, len(entries))
+        if len(entries) != rows:
+            raise ValueError("expected %d rows, got %d" % (rows, len(entries)))
         self.rows = rows
         self.cols = cols
         self.entries = [[rat(x) for x in row] for row in entries]
-        for row in self.entries:
-            assert len(row) == cols, (cols, len(row))
+        for i, row in enumerate(self.entries):
+            if len(row) != cols:
+                raise ValueError(
+                    "row %d has %d entries, expected %d" % (i, len(row), cols)
+                )
 
     @classmethod
     def from_rows(cls, rows_list, cols):
@@ -535,41 +549,125 @@ def _primitive(vec):
     return tuple(Fraction(k) for k in ints)
 
 
+_P = (1 << 61) - 1  # the screening prime, a Mersenne prime
+
+
+def _integer_row(row):
+    """A row of Fractions times the lcm of its denominators: integers with
+    the same span."""
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
+def _independent_rows(int_rows, cols):
+    """Indices of the rows that are independent mod _P of the rows picked
+    before them, at most cols of them, in input order.
+
+    kernel spans the null space mod _P of the rows picked so far, so a row
+    lies in their span mod _P iff it is orthogonal to every kernel vector.
+    Picking a row removes one kernel vector and projects the others onto
+    the row's orthogonal complement."""
+    kernel = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    picked = []
+    for i, row in enumerate(int_rows):
+        if not kernel:
+            break
+        nonzero = [(j, r) for j, r in enumerate(x % _P for x in row) if r]
+        dots = [sum(r * v[j] for j, r in nonzero) % _P for v in kernel]
+        t = next((t for t, d in enumerate(dots) if d), None)
+        if t is None:
+            continue
+        picked.append(i)
+        v_t = kernel.pop(t)
+        inv = pow(dots.pop(t), -1, _P)
+        for s, d in enumerate(dots):
+            if d:
+                f = d * inv % _P
+                kernel[s] = [(a - f * b) % _P for a, b in zip(kernel[s], v_t)]
+    return picked
+
+
+def _annihilates(vectors, int_rows):
+    """True iff every vector has zero dot product with every row, over Q."""
+    for vec in vectors:
+        ints = _integer_row(vec)
+        if any(sum(map(mul, row, ints)) for row in int_rows):
+            return False
+    return True
+
+
+def _eliminate(rows, cols, read_off):
+    """The answer read off the RREF of rows (lists of Fractions, cols wide).
+
+    read_off(entries, pivots, cols) returns (answer, witnesses): the answer
+    from an RREF, and vectors whose orthogonality to every input row proves
+    that the rows it was computed from span the input's row space.  The RREF
+    of a row space is unique, so a certified answer equals the one from the
+    full RREF."""
+    int_rows = [_integer_row(row) for row in rows]
+    entries = [list(rows[i]) for i in _independent_rows(int_rows, cols)]
+    answer, witnesses = read_off(entries, _rref(entries, cols), cols)
+    if _annihilates(witnesses, int_rows):
+        return answer
+    del int_rows  # hold no integer copy beside the full Fraction copy
+    entries = [list(row) for row in rows]
+    return read_off(entries, _rref(entries, cols), cols)[0]
+
+
+def _kernel_basis(entries, pivots, cols):
+    """One primitive kernel vector per free column, in column order; the
+    basis is its own witness (equal kernels mean equal row spaces)."""
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -entries[r][fc]
+        basis.append(_primitive(vec))
+    return basis, basis
+
+
+def _augmented_solution(entries, pivots, cols):
+    """The solution with free variables 0 of an augmented RREF, witnessed by
+    (x, -1); or NoSolution, which needs no witness: rows that are
+    inconsistent stay inconsistent among more rows."""
+    n = cols - 1
+    if n in pivots:
+        return NoSolution("inconsistent linear system"), []
+    x = [Fraction(0)] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = entries[r][n]
+    return x, [x + [Fraction(-1)]]
+
+
+def _check_matrix(mat):
+    if not isinstance(mat, RatMatrix):
+        raise TypeError("expected a RatMatrix, got %s" % type(mat).__name__)
+
+
 def nullspace(mat):
     """Exact basis of the kernel of mat, deterministic.
 
     Basis vectors are produced one per free column (in increasing column
     order), scaled to primitive integer form.  rank + len(basis) = cols."""
-    assert isinstance(mat, RatMatrix), mat
-    entries = [list(row) for row in mat.entries]
-    pivots = _rref(entries, mat.cols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(mat.cols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * mat.cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -entries[r][fc]
-        basis.append(_primitive(vec))
-    return basis
+    _check_matrix(mat)
+    return _eliminate(mat.entries, mat.cols, _kernel_basis)
 
 
 def solve_linear(mat, rhs):
     """One exact solution of mat * x = rhs (free variables set to 0), or
     NoSolution.  rhs is a sequence of Fractions of length mat.rows."""
-    assert isinstance(mat, RatMatrix), mat
-    assert len(rhs) == mat.rows, (len(rhs), mat.rows)
-    aug = [list(row) + [rat(b)] for row, b in zip(mat.entries, rhs)]
-    pivots = _rref(aug, mat.cols + 1)
-    if mat.cols in pivots:
-        return NoSolution("inconsistent linear system")
-    x = [Fraction(0)] * mat.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][mat.cols]
-    return x
+    _check_matrix(mat)
+    if len(rhs) != mat.rows:
+        raise ValueError(
+            "rhs has %d entries for %d rows" % (len(rhs), mat.rows)
+        )
+    aug = [row + [rat(b)] for row, b in zip(mat.entries, rhs)]
+    return _eliminate(aug, mat.cols + 1, _augmented_solution)
 
 
 def rank(mat):
-    entries = [list(row) for row in mat.entries]
-    return len(_rref(entries, mat.cols))
+    return mat.cols - len(nullspace(mat))

@@ -8,6 +8,7 @@ from fractions import Fraction
 from .kernel import (
     NoSolution,
     RatMatrix,
+    _primitive,
     nullspace,
     rat,
     solve_linear,
@@ -369,32 +370,6 @@ def _check_weight(w, bound):
         )
 
 
-def _primitive_rows(vectors):
-    """Rescale each vector to primitive integer form, first nonzero > 0."""
-    out = []
-    for v in vectors:
-        denom = 1
-        for c in v:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in v]
-        g = 0
-        for k in ints:
-            g = _gcd(g, abs(k))
-        if g:
-            ints = [k // g for k in ints]
-        lead = next((k for k in ints if k), 0)
-        if lead < 0:
-            ints = [-k for k in ints]
-        out.append(tuple(Fraction(k) for k in ints))
-    return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def dmr_basis(w, bound=WEIGHT_BOUND):
     """Basis of the weight-w double shuffle component, by exact nullspace
     of {c_xy = 0, primitivity of the flipped star regularization} over the
@@ -474,7 +449,7 @@ def krv_basis(w, bound=WEIGHT_BOUND):
         rows.append(row)
 
     joint = nullspace(RatMatrix.from_rows(rows, ncols))
-    vectors = _primitive_rows([v[:n] for v in joint])
+    vectors = [_primitive(v[:n]) for v in joint]
     return SubspaceBasis(w, words, vectors)
 
 

@@ -1,0 +1,318 @@
+"""Differential tests for the certified elimination path of kernel.py.
+
+nullspace and solve_linear screen rows mod p = 2^61 - 1, run the exact RREF
+on the rows they pick and certify the answer against every row.  The
+reference below is the full-RREF implementation they replaced, kept
+verbatim; every case must agree with it exactly, including the cases built
+so that the prime is unlucky and the certificate has to fail."""
+
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from math import gcd
+from pathlib import Path
+
+import pytest
+
+from mouldkit import kernel
+from mouldkit.kernel import NoSolution, RatMatrix, nullspace, rank, solve_linear
+
+P = (1 << 61) - 1
+DENOMINATORS = (1, 1, 1, 2, 3, 7, P, 2 * P)
+
+
+# -- reference: the full RREF, verbatim -------------------------------------
+
+
+def _rref(entries, cols):
+    """Reduced row echelon form in place; returns the pivot column list."""
+    pivots = []
+    r = 0
+    nrows = len(entries)
+    for c in range(cols):
+        piv = None
+        for i in range(r, nrows):
+            if entries[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        entries[r], entries[piv] = entries[piv], entries[r]
+        inv = 1 / entries[r][c]
+        entries[r] = [x * inv for x in entries[r]]
+        for i in range(nrows):
+            if i != r and entries[i][c]:
+                f = entries[i][c]
+                row_i = entries[i]
+                row_r = entries[r]
+                entries[i] = [a - f * b for a, b in zip(row_i, row_r)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _primitive(vec):
+    """Scale a rational vector to primitive integers, first nonzero positive."""
+    denom_lcm = 1
+    for x in vec:
+        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
+    ints = [int(x * denom_lcm) for x in vec]
+    g = 0
+    for k in ints:
+        g = gcd(g, abs(k))
+    if g == 0:
+        return tuple(Fraction(0) for _ in vec)
+    ints = [k // g for k in ints]
+    lead = next((k for k in ints if k), 0)
+    if lead < 0:
+        ints = [-k for k in ints]
+    return tuple(Fraction(k) for k in ints)
+
+
+def reference_nullspace(mat):
+    """Exact basis of the kernel of mat, deterministic.
+
+    Basis vectors are produced one per free column (in increasing column
+    order), scaled to primitive integer form.  rank + len(basis) = cols."""
+    assert isinstance(mat, RatMatrix), mat
+    entries = [list(row) for row in mat.entries]
+    pivots = _rref(entries, mat.cols)
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(mat.cols) if c not in pivot_set]
+    basis = []
+    for fc in free_cols:
+        vec = [Fraction(0)] * mat.cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -entries[r][fc]
+        basis.append(_primitive(vec))
+    return basis
+
+
+def reference_solve_linear(mat, rhs):
+    """One exact solution of mat * x = rhs (free variables set to 0), or
+    NoSolution.  rhs is a sequence of Fractions of length mat.rows."""
+    assert isinstance(mat, RatMatrix), mat
+    assert len(rhs) == mat.rows, (len(rhs), mat.rows)
+    aug = [list(row) + [Fraction(b)] for row, b in zip(mat.entries, rhs)]
+    pivots = _rref(aug, mat.cols + 1)
+    if mat.cols in pivots:
+        return NoSolution("inconsistent linear system")
+    x = [Fraction(0)] * mat.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = aug[r][mat.cols]
+    return x
+
+
+# -- random systems ---------------------------------------------------------
+
+
+def _entry(rng):
+    if rng.random() < 0.4:
+        return Fraction(0)
+    return Fraction(rng.randint(-6, 6), rng.choice(DENOMINATORS))
+
+
+def _random_rows(rng, nrows, cols):
+    return [[_entry(rng) for _ in range(cols)] for _ in range(nrows)]
+
+
+def _product(a, b, cols):
+    return [
+        [sum((x * row_b[j] for x, row_b in zip(row_a, b)), Fraction(0))
+         for j in range(cols)]
+        for row_a in a
+    ]
+
+
+def random_matrix(rng):
+    """Tall, rank-deficient, zero, single-column or general rows."""
+    kind = rng.choice(("tall", "deficient", "zero", "one-column", "general"))
+    cols = 1 if kind == "one-column" else rng.randint(1, 7)
+    nrows = rng.randint(0, 6) if kind == "general" else rng.randint(cols, 4 * cols + 4)
+    if kind == "zero":
+        rows = [[Fraction(0)] * cols for _ in range(nrows)]
+    elif kind == "deficient":
+        inner = rng.randint(0, max(cols - 1, 0))
+        rows = _product(
+            _random_rows(rng, nrows, inner), _random_rows(rng, inner, cols), cols
+        )
+    else:
+        rows = _random_rows(rng, nrows, cols)
+    return RatMatrix(nrows, cols, rows)
+
+
+def _same_solution(got, want):
+    if isinstance(want, NoSolution):
+        return isinstance(got, NoSolution) and got.reason == want.reason
+    return not isinstance(got, NoSolution) and got == want
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nullspace_matches_full_rref(seed):
+    rng = random.Random(seed)
+    for _ in range(15):
+        m = random_matrix(rng)
+        want = reference_nullspace(m)
+        assert nullspace(m) == want
+        assert rank(m) == m.cols - len(want)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_solve_linear_matches_full_rref(seed):
+    rng = random.Random(1000 + seed)
+    for _ in range(15):
+        m = random_matrix(rng)
+        if rng.random() < 0.5:
+            x0 = [_entry(rng) for _ in range(m.cols)]
+            rhs = [sum((a * b for a, b in zip(row, x0)), Fraction(0)) for row in m.entries]
+        else:
+            rhs = [_entry(rng) for _ in range(m.rows)]
+        assert _same_solution(solve_linear(m, rhs), reference_solve_linear(m, rhs))
+
+
+# -- the screen, the certificate and the fallback ---------------------------
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """Row counts of the matrices handed to kernel._rref, one per call."""
+    calls = []
+    real = kernel._rref
+
+    def counting(entries, cols):
+        calls.append(len(entries))
+        return real(entries, cols)
+
+    monkeypatch.setattr(kernel, "_rref", counting)
+    return calls
+
+
+def test_tall_matrix_is_solved_on_at_most_cols_rows(rref_calls):
+    rng = random.Random(5)
+    rows = _random_rows(rng, 40, 6)
+    m = RatMatrix(40, 6, rows)
+    assert nullspace(m) == reference_nullspace(m)
+    assert len(rref_calls) == 1 and rref_calls[0] <= 6
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[P]],
+        [[2 * P, 0]],
+        [[1, 0], [1, P]],
+        [[3, 1, 4], [3, 1 + P, 4], [6, 2, 8]],
+        [[Fraction(1, 2), 1], [Fraction(1, 2), 1 + P]],
+    ],
+    ids=["p", "2p-row", "pair-p-e1", "pair-p-e1-of-3", "half-pair"],
+)
+def test_unlucky_prime_falls_back_to_full_rref(rows, rref_calls):
+    m = RatMatrix(len(rows), len(rows[0]), rows)
+    assert nullspace(m) == reference_nullspace(m)
+    assert len(rref_calls) == 2
+    assert rref_calls[1] == m.rows
+
+
+def test_inconsistency_only_in_unpicked_rows(rref_calls):
+    # Mod p the last augmented row repeats the first, so the screen skips
+    # it; over Q it contradicts the first and the certificate must notice.
+    m = RatMatrix(2, 1, [[1], [1]])
+    rhs = [Fraction(0), Fraction(P)]
+    assert isinstance(solve_linear(m, rhs), NoSolution)
+    assert len(rref_calls) == 2
+
+
+def test_tall_inconsistency_only_in_unpicked_rows(rref_calls):
+    rng = random.Random(11)
+    cols = 4
+    top = [[Fraction(rng.randint(-5, 5)) for _ in range(cols)] for _ in range(cols)]
+    top[0][0] += 50  # keep the top block invertible
+    for i in range(1, cols):
+        top[i][i] += 50
+    combos = [[Fraction(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(12)]
+    rows = top + _product(combos, top, cols)
+    x0 = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(cols)]
+    rhs = [sum((a * b for a, b in zip(row, x0)), Fraction(0)) for row in rows]
+    m = RatMatrix(len(rows), cols, rows)
+    assert solve_linear(m, rhs) == reference_solve_linear(m, rhs) == x0
+    assert rref_calls == [cols]
+    rref_calls.clear()
+    rhs[-1] += P
+    want = reference_solve_linear(m, rhs)
+    assert isinstance(want, NoSolution)
+    assert _same_solution(solve_linear(m, rhs), want)
+    assert rref_calls == [cols, m.rows]
+
+
+def test_inconsistency_in_picked_rows_needs_no_fallback(rref_calls):
+    m = RatMatrix(3, 1, [[1], [1], [2]])
+    assert isinstance(solve_linear(m, [Fraction(0), Fraction(1), Fraction(0)]), NoSolution)
+    assert rref_calls == [2]
+
+
+def test_certified_solution_from_unlucky_rows_is_the_full_one(rref_calls):
+    # The screen keeps only the first row, whose solution with free
+    # variables 0 also satisfies the second: certified without a fallback,
+    # and equal to the full RREF's answer.
+    m = RatMatrix(2, 2, [[1, 0], [1, P]])
+    rhs = [Fraction(1), Fraction(1)]
+    assert solve_linear(m, rhs) == reference_solve_linear(m, rhs) == [1, 0]
+    assert rref_calls == [1]
+
+
+# -- input validation survives python -O ------------------------------------
+
+
+def test_ratmatrix_rejects_wrong_row_count():
+    with pytest.raises(ValueError):
+        RatMatrix(2, 1, [[1]])
+
+
+def test_ratmatrix_rejects_wrong_row_length():
+    with pytest.raises(ValueError):
+        RatMatrix(2, 2, [[1, 2], [3]])
+
+
+def test_nullspace_rejects_non_matrix():
+    with pytest.raises(TypeError):
+        nullspace([[1, 2]])
+
+
+def test_solve_linear_rejects_non_matrix():
+    with pytest.raises(TypeError):
+        solve_linear([[1, 2]], [1])
+
+
+def test_solve_linear_rejects_wrong_rhs_length():
+    with pytest.raises(ValueError):
+        solve_linear(RatMatrix(2, 1, [[1], [2]]), [Fraction(1)])
+
+
+def test_validation_is_kept_under_optimize():
+    src = Path(kernel.__file__).resolve().parents[1]
+    script = (
+        "from mouldkit.kernel import RatMatrix, nullspace, solve_linear\n"
+        "checks = [lambda: RatMatrix(2, 1, [[1]]),\n"
+        "          lambda: RatMatrix(1, 2, [[1]]),\n"
+        "          lambda: nullspace([[1]]),\n"
+        "          lambda: solve_linear([[1]], [1]),\n"
+        "          lambda: solve_linear(RatMatrix(1, 1, [[1]]), [])]\n"
+        "for check in checks:\n"
+        "    try:\n"
+        "        check()\n"
+        "    except (TypeError, ValueError):\n"
+        "        continue\n"
+        "    raise SystemExit('accepted bad input')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={"PYTHONPATH": str(src), "MOULDKIT_PURE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
