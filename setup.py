@@ -1,29 +1,11 @@
-# Optional compiled speedups. The package is fully functional without them:
-# if Cython (or a C compiler) is unavailable the build silently degrades to
-# the pure-Python backend in mouldkit._speed.pure.
-import os
-
+# Legacy setup.py path for toolchains too old to read the [project] table
+# of pyproject.toml; name/package_dir repeat it on purpose.
 from setuptools import find_packages, setup
 
-ext_modules = []
-if os.environ.get("MOULDKIT_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/mouldkit/_speed/_kernels.pyx"],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        ext_modules = []
-
-# name/package_dir repeat pyproject.toml on purpose: toolchains too old to
-# read the [project] table still need them on the legacy setup.py path.
 setup(
     name="mouldkit",
     version="0.1.0",
     package_dir={"": "src"},
     packages=find_packages("src"),
     entry_points={"console_scripts": ["mouldkit = mouldkit.cli:main"]},
-    ext_modules=ext_modules,
 )

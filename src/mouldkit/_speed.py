@@ -1,14 +1,9 @@
-# Pure-Python term-dict kernels.
+# Term-dict kernels.
 #
 # A "term dict" maps an exponent tuple (one nonnegative int per variable) to
 # a nonzero Fraction.  Every polynomial operation in the package funnels
-# through the few functions below, so they exist in two interchangeable
-# backends: this module, and the Cython twin in _kernels.pyx.  Both must
-# produce identical dicts for identical inputs; the test suite runs against
-# whichever one the import selected (MOULDKIT_PURE=1 forces this one).
-
-compiled = False
-
+# through the few functions below.  Callers look them up on this module at
+# call time (_sp.mul_terms), so a profiler can rebind them here.
 
 def add_terms(a, b):
     """Return a + b as a fresh dict; zero coefficients are dropped."""

@@ -9,9 +9,9 @@ from .liealg import TangentialData
 from .mould import Mould
 from .ncword import (
     NCPoly,
+    _weight_parts,
     homogeneous_weight,
     is_lie,
-    letter_weight,
     lie_bracket,
     scale_letter,
 )
@@ -127,14 +127,6 @@ def vimo(h, r):
     assert 0 <= r <= w, (r, w)
     table = CoeffTable.from_poly(h)
     return MultiPoly(r + 1, table.by_depth.get(r, {}))
-
-
-def _weight_parts(p):
-    parts = {}
-    for wd, c in p.terms.items():
-        k = sum(letter_weight(s) for s in wd)
-        parts.setdefault(k, {})[wd] = c
-    return {k: NCPoly._raw(p.alphabet, t) for k, t in sorted(parts.items())}
 
 
 def _ma_homogeneous(h, w):

@@ -33,7 +33,7 @@ from .liealg import (
     solve_G,
     star_regularize,
 )
-from .mould import Mould, mantar, mould_mul, push, swap, teru
+from .mould import Mould, mantar, mould_mul, pus_sum, push, swap, teru
 from .ncword import (
     NCPoly,
     NotHomogeneous,
@@ -51,7 +51,6 @@ from .symmetry import (
     ari_alil_space,
     ari_sena_pusnu_space,
     is_alternal,
-    is_pus_neutral,
     senary_defect,
     senary_eq41_holds,
     senary_holds,
@@ -152,7 +151,7 @@ def mould_from_json(obj, loc="input"):
             c = parse_rat(entry["coeff"], at + ".coeff")
             e = entry["exponents"]
             ok = isinstance(e, list) and all(
-                isinstance(k, int) and k >= 0 for k in e
+                type(k) is int and k >= 0 for k in e
             )
             if not ok or len(e) != d:
                 raise ParseError(
@@ -181,10 +180,27 @@ def _cache_dir(args):
     return d or None
 
 
+def _read_cache(path, key, weight):
+    """The basis a cache file stores under key, or None when the file is
+    missing, does not parse, or lacks a field."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if data["key"] != key:
+            return None
+        return SubspaceBasis(
+            weight,
+            [tuple(wd) for wd in data["ambient"]],
+            [[Fraction(c) for c in v] for v in data["vectors"]],
+        )
+    except (OSError, ValueError, TypeError, KeyError, ZeroDivisionError):
+        return None
+
+
 def cached_basis(algebra, weight, cache_dir):
     """dmr/krv basis with an optional content-addressed JSON cache, keyed by
-    (algebra, weight, code version).  Writes are atomic; entries are never
-    rewritten."""
+    (algebra, weight, package version).  A file that cannot be read back
+    under its key is recomputed and replaced; writes are atomic."""
     assert algebra in ("dmr", "krv"), algebra
     solver = dmr_basis if algebra == "dmr" else krv_basis
     if cache_dir is None:
@@ -192,15 +208,9 @@ def cached_basis(algebra, weight, cache_dir):
     key = {"algebra": algebra, "weight": weight, "version": __version__}
     name = "basis-" + _digest(key)[len("sha256:"):] + ".json"
     path = os.path.join(cache_dir, name)
-    if os.path.exists(path):
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("key") == key:
-            return SubspaceBasis(
-                weight,
-                [tuple(wd) for wd in data["ambient"]],
-                [[Fraction(c) for c in v] for v in data["vectors"]],
-            )
+    hit = _read_cache(path, key, weight)
+    if hit is not None:
+        return hit
     basis = solver(weight)
     os.makedirs(cache_dir, exist_ok=True)
     data = {
@@ -292,14 +302,22 @@ def _senary_items(mo, label, rmax, checks, conjectural):
             )
 
 
+def _check_rmax(rmax):
+    if rmax < 1:
+        raise ParseError("--rmax must be at least 1, got %d" % rmax, "arguments.rmax")
+
+
 def cmd_verify_senary(args):
     rmax = args.rmax
+    _check_rmax(rmax)
     echo = {"command": "verify-senary", "rmax": rmax}
     checks, conjectural = [], []
     if args.input:
         echo["input"] = os.path.basename(args.input)
         obj = _load_json(args.input)
         entries = obj if isinstance(obj, list) else [obj]
+        if not entries:
+            raise ParseError("no moulds to check", "input")
         moulds = [
             mould_from_json(entry, loc="input.%d" % i)
             for i, entry in enumerate(entries)
@@ -368,12 +386,15 @@ def _check_mould_property(prop, mo, rmax):
     elif prop == "alternil":
         got = alternil_up_to_constant(mo)
         if isinstance(got, NoSolution):
-            witness = {
-                "splits": [
-                    {"p": p, "q": q, "defect": mp_to_json(d)}
-                    for p, q, d in got.defects
-                ]
-            }
+            if mo.component(0):
+                witness = {"m0": fmt_rat(mo.component(0))}
+            else:
+                witness = {
+                    "splits": [
+                        {"p": p, "q": q, "defect": mp_to_json(d)}
+                        for p, q, d in got.defects
+                    ]
+                }
             checks.append(_check("alternil up to constants", False, witness))
         else:
             checks.append(_check("alternil up to constants", True))
@@ -385,18 +406,12 @@ def _check_mould_property(prop, mo, rmax):
                 )
             )
     elif prop == "pusnu":
-        ok = is_pus_neutral(mo)
-        witness = None
-        if not ok:
-            for m in range(1, mo.depth + 1):
-                only_m = Mould([Fraction(0)] + [
-                    mo.component(k) if k == m else MultiPoly.zero(k)
-                    for k in range(1, m + 1)
-                ])
-                if not is_pus_neutral(only_m):
-                    witness = {"depth": m}
-                    break
-        checks.append(_check("pus-neutral", ok, witness))
+        bad = next(
+            (m for m in range(1, mo.depth + 1) if not pus_sum(mo, m).is_zero()),
+            None,
+        )
+        witness = None if bad is None else {"depth": bad}
+        checks.append(_check("pus-neutral", bad is None, witness))
     else:
         assert prop == "senary", prop
         _senary_items(mo, "input", rmax, checks, conjectural)
@@ -471,6 +486,8 @@ def cmd_check(args):
         "property": args.property,
         "input": os.path.basename(args.input),
     }
+    if args.property == "senary":
+        _check_rmax(args.rmax)
     obj = _load_json(args.input)
     conjectural = []
     if args.property in MOULD_PROPS:

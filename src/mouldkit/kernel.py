@@ -2,6 +2,9 @@
 # multivariate polynomials, rational functions with factored linear
 # denominators, and exact linear algebra over Q.
 #
+# Every linear system in the package is "polynomials as matrix columns":
+# column_rows turns a list of term dicts into the rows of that matrix.
+#
 # Everything here is immutable after construction and every operation is a
 # pure function, so values can be shared and reused freely.  No floating
 # point appears anywhere in this package; all the identities we verify are
@@ -500,6 +503,22 @@ class RatMatrix:
     @classmethod
     def from_rows(cls, rows_list, cols):
         return cls(len(rows_list), cols, rows_list)
+
+
+_ZERO = Fraction(0)
+
+
+def column_rows(columns):
+    """The matrix whose column j is the term dict columns[j], as rows: one
+    row per key of the union support, keys in sorted order."""
+    keys = sorted(set().union(*columns))
+    index = {k: i for i, k in enumerate(keys)}
+    # the columns are sparse: fill zeros, then scatter each column's terms
+    rows = [[_ZERO] * len(columns) for _ in keys]
+    for j, col in enumerate(columns):
+        for k, c in col.items():
+            rows[index[k]][j] = c
+    return rows
 
 
 def _rref(entries, cols):

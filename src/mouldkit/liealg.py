@@ -9,6 +9,7 @@ from .kernel import (
     NoSolution,
     RatMatrix,
     _primitive,
+    column_rows,
     nullspace,
     rat,
     solve_linear,
@@ -16,11 +17,11 @@ from .kernel import (
 from .ncword import (
     NCPoly,
     NotHomogeneous,
+    _weight_parts,
     coefficient,
     decompose_right,
     homogeneous_weight,
     is_lie,
-    letter_weight,
     lie_bracket,
     lyndon_basis,
     lyndon_words,
@@ -119,25 +120,12 @@ class SubspaceBasis:
 # ---------------------------------------------------------------------------
 # word-coordinate linear solves
 
-def _word_matrix(columns, extra_words=()):
-    """Rows indexed by the union of words, deterministic order."""
-    support = set(extra_words)
-    for p in columns:
-        support.update(p.terms)
-    words = sorted(support)
-    index = {wd: i for i, wd in enumerate(words)}
-    rows = [[Fraction(0)] * len(columns) for _ in words]
-    for j, p in enumerate(columns):
-        for wd, c in p.terms.items():
-            rows[index[wd]][j] = c
-    return words, rows
-
-
 def _solve_in_span(columns, target):
     """Coefficients c with sum c_j columns_j = target, or NoSolution."""
-    words, rows = _word_matrix(columns, extra_words=target.terms)
-    rhs = [target.terms.get(wd, Fraction(0)) for wd in words]
-    return solve_linear(RatMatrix.from_rows(rows, len(columns)), rhs)
+    rows = column_rows([p.terms for p in columns] + [target.terms])
+    n = len(columns)
+    return solve_linear(RatMatrix.from_rows([r[:n] for r in rows], n),
+                        [r[n] for r in rows])
 
 
 def solve_G(F, w):
@@ -164,15 +152,6 @@ def solve_G(F, w):
         if c:
             G = G + c * b
     return G
-
-
-def _weight_parts(p):
-    """Split into homogeneous components, mapping weight -> NCPoly."""
-    parts = {}
-    for wd, c in p.terms.items():
-        k = sum(letter_weight(s) for s in wd)
-        parts.setdefault(k, {})[wd] = c
-    return {k: NCPoly._raw(p.alphabet, t) for k, t in sorted(parts.items())}
 
 
 def is_sder(d):
@@ -377,20 +356,13 @@ def dmr_basis(w, bound=WEIGHT_BOUND):
     _check_weight(w, bound)
     words = lyndon_words(w, XY)
     brackets = lyndon_basis(w, XY)
-    n = len(brackets)
-    rows = []
     xy_row = [coefficient(b, ("x", "y")) for b in brackets]
-    rows.append(xy_row)
     defects = [
         primitivity_defect(star_regularize(scale_letter(b, "y", -1)))
         for b in brackets
     ]
-    support = set()
-    for d in defects:
-        support.update(d)
-    for key in sorted(support):
-        rows.append([d.get(key, Fraction(0)) for d in defects])
-    vectors = nullspace(RatMatrix.from_rows(rows, n))
+    rows = [xy_row] + column_rows(defects)
+    vectors = nullspace(RatMatrix.from_rows(rows, len(brackets)))
     return SubspaceBasis(w, words, vectors)
 
 
@@ -407,48 +379,18 @@ def krv_basis(w, bound=WEIGHT_BOUND):
     n = len(brackets)
     x = NCPoly.letter(XY, "x")
     y = NCPoly.letter(XY, "y")
-    ncols = 2 * n + 1
 
-    rows = []
-    # KV1: [y, F] + [x, G] = 0, one row per word of the union support
-    f_cols = [lie_bracket(y, b) for b in brackets]
-    g_cols = [lie_bracket(x, b) for b in brackets]
-    support = set()
-    for p in f_cols + g_cols:
-        support.update(p.terms)
-    for wd in sorted(support):
-        row = [Fraction(0)] * ncols
-        for j, p in enumerate(f_cols):
-            c = p.terms.get(wd)
-            if c:
-                row[j] = c
-        for j, p in enumerate(g_cols):
-            c = p.terms.get(wd)
-            if c:
-                row[n + j] = c
-        rows.append(row)
-
+    # columns F (n), G (n), alpha (1)
+    # KV1: [y, F] + [x, G] = 0, and alpha does not enter
+    kv1 = [lie_bracket(y, b).terms for b in brackets]
+    kv1 += [lie_bracket(x, b).terms for b in brackets]
     # KV2: tr(G_x x + F_y y) - alpha tr((x+y)^w - x^w - y^w) = 0
-    f_tr = [trace(decompose_right(b)[1] * y) for b in brackets]
-    g_tr = [trace(decompose_right(b)[0] * x) for b in brackets]
+    kv2 = [trace(decompose_right(b)[1] * y).terms for b in brackets]
+    kv2 += [trace(decompose_right(b)[0] * x).terms for b in brackets]
     target = trace((x + y) ** w - x ** w - y ** w)
-    support = set(target.terms)
-    for t in f_tr + g_tr:
-        support.update(t.terms)
-    for key in sorted(support):
-        row = [Fraction(0)] * ncols
-        for j, t in enumerate(f_tr):
-            c = t.terms.get(key)
-            if c:
-                row[j] = c
-        for j, t in enumerate(g_tr):
-            c = t.terms.get(key)
-            if c:
-                row[n + j] = c
-        row[2 * n] = -target.terms.get(key, Fraction(0))
-        rows.append(row)
+    rows = column_rows(kv1 + [{}]) + column_rows(kv2 + [(-1 * target).terms])
 
-    joint = nullspace(RatMatrix.from_rows(rows, ncols))
+    joint = nullspace(RatMatrix.from_rows(rows, 2 * n + 1))
     vectors = [_primitive(v[:n]) for v in joint]
     return SubspaceBasis(w, words, vectors)
 
@@ -456,16 +398,8 @@ def krv_basis(w, bound=WEIGHT_BOUND):
 def fil2_dimension(elements):
     """Dimension of the subspace of span(elements) whose depth-1 part
     (words with exactly one y) vanishes; elements must be independent."""
-    if not elements:
-        return 0
-    support = set()
-    for p in elements:
-        for wd in p.terms:
-            if wd.count("y") == 1:
-                support.add(wd)
-    if not support:
-        return len(elements)
-    rows = [
-        [p.terms.get(wd, Fraction(0)) for p in elements] for wd in sorted(support)
+    depth1 = [
+        {wd: c for wd, c in p.terms.items() if wd.count("y") == 1}
+        for p in elements
     ]
-    return len(nullspace(RatMatrix.from_rows(rows, len(elements))))
+    return len(nullspace(RatMatrix.from_rows(column_rows(depth1), len(elements))))

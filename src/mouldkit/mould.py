@@ -339,18 +339,19 @@ def coll(mo, m, i):
 # ---------------------------------------------------------------------------
 # pus-neutrality
 
-def is_pus_neutral(mo):
-    """True iff sum over cyclic rotations of the arguments vanishes for every
-    1 <= m <= depth (components beyond the depth are zero, their sums too)."""
+def pus_sum(mo, m):
+    """The sum of M^m over the m cyclic rotations of its arguments."""
     assert isinstance(mo, Mould), mo
-    for m in range(1, mo.depth + 1):
-        comp = mo.components[m]
-        if comp.is_zero():
-            continue
-        total = MultiPoly.zero(m)
-        for i in range(m):
-            perm = [(j + i) % m for j in range(m)]
-            total = total + permute_vars(comp, perm)
-        if not total.is_zero():
-            return False
-    return True
+    comp = mo.component(m)
+    total = MultiPoly.zero(m)
+    for i in range(m):
+        perm = [(j + i) % m for j in range(m)]
+        total = total + permute_vars(comp, perm)
+    return total
+
+
+def is_pus_neutral(mo):
+    """True iff pus_sum(M, m) vanishes for every 1 <= m <= depth (components
+    beyond the depth are zero, their sums too)."""
+    assert isinstance(mo, Mould), mo
+    return all(pus_sum(mo, m).is_zero() for m in range(1, mo.depth + 1))

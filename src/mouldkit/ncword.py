@@ -170,6 +170,14 @@ def homogeneous_weight(p):
     return ws.pop()
 
 
+def _weight_parts(p):
+    """Split into homogeneous components, mapping weight -> NCPoly."""
+    parts = {}
+    for wd, c in p.terms.items():
+        parts.setdefault(word_weight(wd), {})[wd] = c
+    return {k: NCPoly._raw(p.alphabet, t) for k, t in sorted(parts.items())}
+
+
 def lie_bracket(a, b):
     """[a, b] = ab - ba."""
     assert isinstance(a, NCPoly) and isinstance(b, NCPoly), (a, b)

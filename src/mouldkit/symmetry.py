@@ -17,13 +17,14 @@ from .kernel import (
     NotDivisible,
     PoleError,
     RatMatrix,
+    column_rows,
     embed_vars,
     exact_div,
     nullspace,
     permute_vars,
     substitute,
 )
-from .mould import ConstantMould, Mould, coll, is_pus_neutral, swap, u_map
+from .mould import ConstantMould, Mould, coll, is_pus_neutral, pus_sum, swap, u_map
 
 
 class AlternilityCertificate:
@@ -147,9 +148,11 @@ def alternil_up_to_constant(mo):
     (p,q) sum with p + q = m (its contraction terms cancel pairwise), so the
     system decouples per depth: the defect must be constant and the constants
     must agree across the splits of m.  Returns an AlternilityCertificate or
-    NoSolution carrying the irreducible (p, q, defect) witnesses."""
+    NoSolution carrying the irreducible (p, q, defect) witnesses, or the
+    reason alone when M^0 is nonzero."""
     assert isinstance(mo, Mould), mo
-    assert mo.components[0] == 0, "alternility needs a vanishing constant term"
+    if mo.components[0] != 0:
+        return NoSolution("alternility needs a vanishing constant term")
     consts = [Fraction(0), Fraction(0)]
     residual = []
     for m in range(2, mo.depth + 1):
@@ -315,39 +318,8 @@ def weight_mould_basis(w):
     return out
 
 
-def _rows_from_defects(defect_per_column, ncols, extra=None):
-    """One matrix row per monomial of the union support.
-
-    defect_per_column: list of (column index, polynomial); extra: optional
-    dict mapping column index -> coefficient added to the constant row."""
-    support = set()
-    for _, d in defect_per_column:
-        support.update(d.terms)
-    if extra:
-        nv = defect_per_column[0][1].nvars
-        support.add((0,) * nv)
-    rows = []
-    for e in sorted(support):
-        row = [Fraction(0)] * ncols
-        for j, d in defect_per_column:
-            c = d.terms.get(e)
-            if c:
-                row[j] = c
-        if extra and not any(e):
-            for j, c in extra.items():
-                row[j] = row[j] + c
-        rows.append(row)
-    return rows
-
-
 def _nullspace_moulds(basis, rows, ncols):
-    if not rows:
-        vecs = [
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(ncols))
-            for i in range(ncols)
-        ]
-    else:
-        vecs = nullspace(RatMatrix.from_rows(rows, ncols))
+    vecs = nullspace(RatMatrix.from_rows(rows, ncols))
     out = []
     for v in vecs:
         mo = Mould.zero(basis[0].depth if basis else 0)
@@ -369,24 +341,22 @@ def ari_alil_space(w, fil2=False):
     basis = weight_mould_basis(w)
     if fil2:
         basis = [b for b in basis if b.component(1).is_zero()]
-    nb = len(basis)
-    ncols = nb + max(0, w - 1)
+    nconst = max(0, w - 1)
     swaps = [swap(b) for b in basis]
     rows = []
     for m in range(2, w + 1):
         for p in range(1, m):
             q = m - p
-            al = [(j, alternality_defect(basis[j], p, q)) for j in range(nb)]
-            rows.extend(_rows_from_defects(al, ncols))
-            il = [(j, alternility_defect(swaps[j], p, q)) for j in range(nb)]
-            rows.extend(
-                _rows_from_defects(
-                    il, ncols, extra={nb + (m - 2): Fraction(comb(m, p))}
-                )
-            )
+            al = [alternality_defect(b, p, q).terms for b in basis]
+            rows.extend(column_rows(al + [{}] * nconst))
+            # C_m adds binom(m, p) to the constant term of the (p, q) sum
+            consts = [{}] * nconst
+            consts[m - 2] = {(0,) * m: Fraction(comb(m, p))}
+            il = [alternility_defect(s, p, q).terms for s in swaps]
+            rows.extend(column_rows(il + consts))
     # the projection to the mould coordinates is injective: M = 0 forces
     # each C_m = 0 through the constant rows, so no solution is dropped
-    return _nullspace_moulds(basis, rows, ncols)
+    return _nullspace_moulds(basis, rows, len(basis) + nconst)
 
 
 def ari_sena_pusnu_space(w):
@@ -394,23 +364,14 @@ def ari_sena_pusnu_space(w):
     relation for every r, and have pus-neutral swap.  Pus-neutrality at
     depth 1 forces M^1 = 0, so this space sits inside Fil^2 automatically."""
     basis = weight_mould_basis(w)
-    nb = len(basis)
     swaps = [swap(b) for b in basis]
     rows = []
     for m in range(2, w + 1):
         for p in range(1, m):
-            al = [(j, alternality_defect(basis[j], p, m - p)) for j in range(nb)]
-            rows.extend(_rows_from_defects(al, nb))
+            rows.extend(column_rows(
+                [alternality_defect(b, p, m - p).terms for b in basis]))
     for r in range(1, w + 1):
-        sen = [(j, senary_defect(basis[j], r)) for j in range(nb)]
-        rows.extend(_rows_from_defects(sen, nb))
+        rows.extend(column_rows([senary_defect(b, r).terms for b in basis]))
     for m in range(1, w + 1):
-        rot = []
-        for j in range(nb):
-            comp = swaps[j].component(m)
-            total = MultiPoly.zero(m)
-            for i in range(m):
-                total = total + permute_vars(comp, [(k + i) % m for k in range(m)])
-            rot.append((j, total))
-        rows.extend(_rows_from_defects(rot, nb))
-    return _nullspace_moulds(basis, rows, nb)
+        rows.extend(column_rows([pus_sum(s, m).terms for s in swaps]))
+    return _nullspace_moulds(basis, rows, len(basis))

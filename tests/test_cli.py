@@ -3,7 +3,10 @@
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +105,18 @@ def test_mould_parse_errors():
         mould_from_json({"1": [{"coeff": "1", "exponents": [-1]}]})
 
 
+def test_mould_rejects_boolean_exponents(tmp_path, capsys):
+    # bool is an int subclass; a JSON true must not pass for the exponent 1
+    with pytest.raises(ParseError) as e:
+        mould_from_json({"2": [{"coeff": "1", "exponents": [True, 0]}]})
+    assert "input.2.0" in str(e.value)
+    path = write(tmp_path, "bool.json", {"1": [{"coeff": "1", "exponents": [True]}]})
+    assert main(["check", "senary", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert "input.1.0" in captured.err
+    assert captured.out == ""
+
+
 @settings(deadline=None, max_examples=30)
 @given(
     st.dictionaries(
@@ -156,6 +171,26 @@ def test_verify_senary_conjectural_key(tmp_path, capsys):
     assert all(c["result"] == "holds" for c in report["conjectural"])
 
 
+def test_verify_senary_empty_input_is_parse_error(tmp_path, capsys):
+    path = write(tmp_path, "empty.json", [])
+    assert main(["verify-senary", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert "(at input)" in captured.err
+    assert "status: pass" not in captured.out
+
+
+@pytest.mark.parametrize("rmax", ["0", "-2"])
+def test_verify_senary_rmax_below_one_is_parse_error(tmp_path, capsys, rmax):
+    path = write(tmp_path, "dmr3.json", [DMR3_MOULD])
+    assert main(["verify-senary", "--input", path, "--rmax", rmax]) == 2
+    captured = capsys.readouterr()
+    assert "(at arguments.rmax)" in captured.err
+    assert "status: pass" not in captured.out
+    assert main(["verify-senary", "--weight", "3", "--rmax", rmax]) == 2
+    assert main(["check", "senary", "--input", path, "--rmax", rmax]) == 2
+    capsys.readouterr()
+
+
 def test_basis_commands(capsys):
     assert main(["--format", "json", "basis", "dmr", "--weight", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -182,6 +217,32 @@ def test_check_alternal_and_witness(tmp_path, capsys):
     witness = report["checks"][0]["witness"]
     assert witness["p"] == 1 and witness["q"] == 1
     assert witness["defect"] == [{"coeff": "2", "exponents": [1, 1]}]
+
+
+ALTERNIL_M0 = {"0": [{"coeff": "3/2", "exponents": []}],
+               "2": [{"coeff": "1", "exponents": [0, 0]}]}
+
+
+def test_check_alternil_nonzero_m0_fails_with_witness(tmp_path, capsys):
+    path = write(tmp_path, "m0.json", ALTERNIL_M0)
+    assert main(["--format", "json", "check", "alternil", "--input", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail"
+    assert report["checks"][0]["witness"] == {"m0": "3/2"}
+
+
+def test_check_alternil_nonzero_m0_under_optimize(tmp_path):
+    path = write(tmp_path, "m0.json", ALTERNIL_M0)
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "mouldkit.cli", "check", "alternil", "--input", path],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1, done.stderr
+    assert 'witness: {"m0": "3/2"}' in done.stdout
 
 
 def test_check_pusnu_witness(tmp_path, capsys):
@@ -284,6 +345,34 @@ def test_cached_basis_ignores_mismatched_key(tmp_path):
     again = cached_basis("krv", 3, cache)
     assert again == dmr_basis(3).__class__(3, again.ambient, again.vectors)
     assert again.dimension == 1
+
+
+@pytest.mark.parametrize("damage", ["truncate", "drop_vectors", "not_object", "bad_entry"])
+def test_cached_basis_unreadable_file_is_a_miss(tmp_path, damage):
+    cache = str(tmp_path / "cache")
+    direct = dmr_basis(5)
+    cached_basis("dmr", 5, cache)
+    (name,) = os.listdir(cache)
+    path = os.path.join(cache, name)
+    text = open(path).read()
+    if damage == "truncate":
+        broken = text[: len(text) // 2]
+    elif damage == "drop_vectors":
+        data = json.loads(text)
+        del data["vectors"]
+        broken = json.dumps(data)
+    elif damage == "not_object":
+        broken = "[]"
+    else:
+        data = json.loads(text)
+        data["vectors"][0][0] = "1/0"
+        broken = json.dumps(data)
+    with open(path, "w") as fh:
+        fh.write(broken)
+    assert cached_basis("dmr", 5, cache) == direct
+    # the damaged file was replaced by a whole one, and nothing else was left
+    assert os.listdir(cache) == [name]
+    assert json.loads(open(path).read()) == json.loads(text)
 
 
 def test_cache_env_variable(tmp_path, monkeypatch, capsys):

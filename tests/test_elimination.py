@@ -310,7 +310,7 @@ def test_validation_is_kept_under_optimize():
     )
     done = subprocess.run(
         [sys.executable, "-O", "-c", script],
-        env={"PYTHONPATH": str(src), "MOULDKIT_PURE": "1"},
+        env={"PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=60,

@@ -11,6 +11,7 @@ from mouldkit.kernel import (
     PoleError,
     RatFun,
     RatMatrix,
+    column_rows,
     embed_vars,
     exact_div,
     nullspace,
@@ -280,6 +281,22 @@ def test_nullspace_zero_matrix():
     assert rank(m) == 0
 
 
+def test_column_rows_pinned():
+    # column j is the j-th term dict; one row per key, keys sorted
+    cols = [{(1, 0): Fraction(2)}, {}, {(0, 1): Fraction(-1), (1, 0): Fraction(3)}]
+    assert column_rows(cols) == [
+        [Fraction(0), Fraction(0), Fraction(-1)],
+        [Fraction(2), Fraction(0), Fraction(3)],
+    ]
+    assert column_rows([{}, {}]) == []
+    assert column_rows([]) == []
+
+
+def test_nullspace_without_rows_is_every_unit_vector():
+    basis = nullspace(RatMatrix.from_rows(column_rows([{}, {}]), 2))
+    assert basis == [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+
+
 def test_solve_linear():
     m = RatMatrix(2, 2, [[1, 1], [1, -1]])
     sol = solve_linear(m, [Fraction(3), Fraction(1)])
@@ -331,3 +348,14 @@ def test_rat_coercion():
     assert rat("2/3") == Fraction(2, 3)
     assert rat(5) == Fraction(5)
     assert rat(Fraction(1, 7)) == Fraction(1, 7)
+
+
+def test_term_kernel_module_contract():
+    # profilers rebind the kernels on mouldkit._speed; callers look them up there
+    import mouldkit
+    from mouldkit import _speed
+
+    assert mouldkit.backend_name == "pure"
+    for name in ("add_terms", "sub_terms", "scale_terms", "mul_terms", "concat_mul_terms"):
+        assert callable(getattr(_speed, name))
+    assert _speed.mul_terms({(1,): Fraction(2)}, {(2,): Fraction(3)}) == {(3,): Fraction(6)}

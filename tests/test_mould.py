@@ -20,6 +20,7 @@ from mouldkit.mould import (
     mould_mul,
     neg,
     pus,
+    pus_sum,
     push,
     swap,
     teru,
@@ -352,6 +353,15 @@ def test_pus_neutral_pins():
     assert not is_pus_neutral(Mo(1, {1: {(1,): 1}}))
     assert not is_pus_neutral(Mo(2, {2: {(1, 0): 1}}))
     assert is_pus_neutral(Mould.zero(3))
+
+
+def test_pus_sum_pins():
+    mo = Mo(3, {2: {(1, 0): 1}, 3: {(2, 0, 0): 1}})
+    assert pus_sum(mo, 1).is_zero()
+    assert pus_sum(mo, 2) == MultiPoly(2, {(1, 0): 1, (0, 1): 1})
+    assert pus_sum(mo, 3) == MultiPoly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    # beyond the declared depth the component, and its sum, are zero
+    assert pus_sum(mo, 4) == MultiPoly.zero(4)
 
 
 # -- the senary rewriting: composite equals expansion ------------------------

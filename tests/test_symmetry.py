@@ -128,9 +128,11 @@ def test_alternil_no_solution_carries_defects():
     assert defect == v(2, 1) + v(2, 2)
 
 
-def test_alternil_requires_vanishing_depth_zero():
-    with pytest.raises(AssertionError):
-        alternil_up_to_constant(Mould.unit(2))
+def test_alternil_nonzero_depth_zero_is_no_solution():
+    res = alternil_up_to_constant(Mould.unit(2))
+    assert isinstance(res, NoSolution), res
+    assert "constant term" in res.reason
+    assert res.defects == []
 
 
 # -- senary ------------------------------------------------------------------
