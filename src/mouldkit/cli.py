@@ -14,6 +14,7 @@ import random
 import sys
 import tempfile
 import time
+import traceback
 from fractions import Fraction
 
 from . import __version__
@@ -182,7 +183,8 @@ def _cache_dir(args):
 
 def _read_cache(path, key, weight):
     """The basis a cache file stores under key, or None when the file is
-    missing, does not parse, or lacks a field."""
+    missing, does not parse, lacks a field, or holds a vector of the wrong
+    length."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -778,6 +780,11 @@ def main(argv=None):
     except WeightBoundError as e:
         print("weight out of bounds: %s" % e, file=sys.stderr)
         return 2
+    except Exception as e:
+        # a bug, not a verdict: never let it look like a failed check (1)
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return 3
     _render(report, args.format, sys.stdout)
     return 0 if report["status"] == "pass" else 1
 

@@ -75,7 +75,10 @@ class MultiPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
-        assert isinstance(nvars, int) and nvars >= 0, nvars
+        if isinstance(nvars, bool) or not isinstance(nvars, int):
+            raise TypeError("nvars must be an int, got %r" % (nvars,))
+        if nvars < 0:
+            raise ValueError("nvars must be nonnegative, got %d" % nvars)
         self.nvars = nvars
         clean = {}
         if terms:
@@ -83,8 +86,10 @@ class MultiPoly:
                 c = rat(c)
                 if c:
                     e = tuple(e)
-                    assert len(e) == nvars, (e, nvars)
-                    assert all(isinstance(k, int) and k >= 0 for k in e), e
+                    if len(e) != nvars:
+                        raise ValueError("exponent %r does not have %d entries" % (e, nvars))
+                    if not all(type(k) is int and k >= 0 for k in e):
+                        raise ValueError("exponent %r needs nonnegative ints" % (e,))
                     clean[e] = c
         self.terms = clean
 

@@ -84,7 +84,9 @@ class SubspaceBasis:
         self.ambient = tuple(tuple(wd) for wd in ambient)
         self.vectors = [tuple(rat(c) for c in v) for v in vectors]
         for v in self.vectors:
-            assert len(v) == len(self.ambient), (len(v), len(self.ambient))
+            if len(v) != len(self.ambient):
+                raise ValueError("basis vector of length %d in a %d-word ambient"
+                                 % (len(v), len(self.ambient)))
 
     @property
     def dimension(self):

@@ -26,13 +26,16 @@ class Mould:
 
     def __init__(self, components):
         components = list(components)
-        assert components, "need at least the depth-0 component"
+        if not components:
+            raise ValueError("need at least the depth-0 component")
         out = [rat(components[0])]
         for m, c in enumerate(components[1:], start=1):
             if isinstance(c, dict):
                 c = MultiPoly(m, c)
-            assert isinstance(c, MultiPoly), (m, c)
-            assert c.nvars == m, (m, c.nvars)
+            if not isinstance(c, MultiPoly):
+                raise TypeError("component %d is %r, not a MultiPoly" % (m, c))
+            if c.nvars != m:
+                raise ValueError("component %d has %d variables" % (m, c.nvars))
             out.append(c)
         self.depth = len(out) - 1
         self.components = out
@@ -51,17 +54,12 @@ class Mould:
     @classmethod
     def from_components(cls, depth, comps):
         """comps: dict m -> MultiPoly/dict/Fraction, missing entries zero."""
-        base = cls.zero(depth)
+        full = [Fraction(0)] + [MultiPoly.zero(m) for m in range(1, depth + 1)]
         for m, c in comps.items():
-            if m == 0:
-                base.components[0] = rat(c)
-            else:
-                assert 1 <= m <= depth, (m, depth)
-                if isinstance(c, dict):
-                    c = MultiPoly(m, c)
-                assert c.nvars == m, (m, c.nvars)
-                base.components[m] = c
-        return base
+            if not 0 <= m <= depth:
+                raise ValueError("component %r outside depth %d" % (m, depth))
+            full[m] = c
+        return cls(full)
 
     def component(self, m):
         """M^m, with components beyond the declared depth implicitly zero."""
@@ -309,10 +307,26 @@ def translate_t(mo):
     return Mould(comps)
 
 
-def u_map(mo):
-    """u = t o swap; concretely
+def u_component(mo, m):
+    """u(M)^m for m >= 1: M^1 at m = 1, else, with one substitution,
     u(M)^m(x_1..x_m) = M^{m-1}(x_m-x_1, x_{m-1}-x_m, ..., x_2-x_3)."""
-    return translate_t(swap(mo))
+    assert isinstance(mo, Mould), mo
+    if m == 1:
+        return mo.component(1)
+    forms = []
+    for k in range(1, m):  # old slot k gets x_{m-k+1} - x_{m-k+2}, mod m
+        f = [Fraction(0)] * m
+        f[m - k], f[(m - k + 1) % m] = Fraction(1), Fraction(-1)
+        forms.append(tuple(f))
+    return substitute(mo.component(m - 1), forms, m)
+
+
+def u_map(mo):
+    """u = t o swap, built component by component with u_component."""
+    assert isinstance(mo, Mould), mo
+    comps = [mo.components[0]]
+    comps += [u_component(mo, m) for m in range(1, mo.depth + 2)]
+    return Mould(comps)
 
 
 def coll(mo, m, i):

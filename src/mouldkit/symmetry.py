@@ -24,7 +24,7 @@ from .kernel import (
     permute_vars,
     substitute,
 )
-from .mould import ConstantMould, Mould, coll, is_pus_neutral, pus_sum, swap, u_map
+from .mould import ConstantMould, Mould, coll, is_pus_neutral, pus_sum, swap, u_component
 
 
 class AlternilityCertificate:
@@ -254,15 +254,17 @@ def senary_eq41_holds(mo, r):
 
     For r = 1 the collision slots degenerate (there is no x_3, and the
     corrections carry no depth-0 content), leaving the bare rotation
-    identity u(M)^2(x_1,x_2) = u(M)^2(x_2,x_1)."""
+    identity u(M)^2(x_1,x_2) = u(M)^2(x_2,x_1).
+
+    Only u(M)^{r+1} and, for the collision maps, u(M)^r are built."""
     assert isinstance(mo, Mould), mo
     assert r >= 1, r
-    um = u_map(mo)
     n = r + 1
-    comp = um.component(n)
+    comp = u_component(mo, n)
     rotated = permute_vars(comp, [(j + 1) % n for j in range(n)])
     if r == 1:
         return comp == rotated
+    um = Mould.from_components(n, {r: u_component(mo, r), n: comp})
     c23 = coll(um, n, 2).component(n)
     c12 = coll(um, n, 1).component(n)
     return comp + c23 == rotated + c12

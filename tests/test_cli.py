@@ -375,6 +375,57 @@ def test_cached_basis_unreadable_file_is_a_miss(tmp_path, damage):
     assert json.loads(open(path).read()) == json.loads(text)
 
 
+def _shorten_cached_vector(cache):
+    (name,) = os.listdir(cache)
+    path = os.path.join(cache, name)
+    whole = open(path).read()
+    data = json.loads(whole)
+    data["vectors"][0] = data["vectors"][0][:-1]
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    return path, whole
+
+
+def test_cached_vector_of_wrong_length_is_a_miss(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    assert main(["--cache-dir", cache, "basis", "dmr", "--weight", "3"]) == 0
+    want = capsys.readouterr().out
+    path, whole = _shorten_cached_vector(cache)
+    assert main(["--cache-dir", cache, "basis", "dmr", "--weight", "3"]) == 0
+    assert capsys.readouterr().out == want
+    assert json.loads(open(path).read()) == json.loads(whole)
+
+
+def test_cached_vector_of_wrong_length_is_a_miss_under_optimize(tmp_path):
+    cache = str(tmp_path / "cache")
+    cached_basis("dmr", 3, cache)
+    path, whole = _shorten_cached_vector(cache)
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "mouldkit.cli", "--cache-dir", cache,
+         "basis", "dmr", "--weight", "3"],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(open(path).read()) == json.loads(whole)
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(weight):
+        raise RuntimeError("solver exploded")
+
+    monkeypatch.delenv("MOULDKIT_CACHE", raising=False)
+    monkeypatch.setattr("mouldkit.cli.dmr_basis", broken)
+    assert main(["basis", "dmr", "--weight", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback")
+    assert captured.err.endswith("internal error: RuntimeError: solver exploded\n")
+
+
 def test_cache_env_variable(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "envcache"
     monkeypatch.setenv("MOULDKIT_CACHE", str(cache))

@@ -94,6 +94,23 @@ def test_scalar_mul():
     assert Fraction(1, 2) * (2 * x1) == x1
 
 
+@pytest.mark.parametrize(
+    "nvars, error",
+    [(-1, ValueError), (1.0, TypeError), ("2", TypeError), (True, TypeError), (None, TypeError)],
+)
+def test_multipoly_rejects_bad_nvars(nvars, error):
+    with pytest.raises(error):
+        MultiPoly(nvars)
+
+
+@pytest.mark.parametrize("exponent", [(1,), (1, 2, 3), (1, -1), (1, 0.5), (True, 0)])
+def test_multipoly_rejects_bad_exponents(exponent):
+    with pytest.raises(ValueError):
+        MultiPoly(2, {exponent: 1})
+    # a zero coefficient drops the term before its exponent is looked at
+    assert MultiPoly(2, {exponent: 0}).is_zero()
+
+
 @given(polys(nvars=2), polys(nvars=2), polys(nvars=2))
 def test_ring_laws(a, b, c):
     assert a + b == b + a

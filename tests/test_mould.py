@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +28,7 @@ from mouldkit.mould import (
     swap,
     teru,
     translate_t,
+    u_component,
     u_map,
     unswap,
 )
@@ -89,6 +93,56 @@ def test_linear_structure():
     half = Fraction(1, 2) * a
     assert half.components[0] == 1
     assert (-a) + a == Mould.zero(2)
+
+
+@pytest.mark.parametrize(
+    "components, error",
+    [
+        ([], ValueError),
+        ([0, "x1"], TypeError),
+        ([0, MultiPoly.var(2, 0)], ValueError),
+        ([0, MultiPoly.zero(1), MultiPoly.zero(3)], ValueError),
+    ],
+)
+def test_mould_rejects_bad_components(components, error):
+    with pytest.raises(error):
+        Mould(components)
+
+
+@pytest.mark.parametrize(
+    "depth, comps",
+    [(2, {2: MultiPoly.var(3, 0)}), (1, {3: {(1, 0, 0): 1}}), (2, {-1: 1})],
+)
+def test_from_components_rejects_bad_components(depth, comps):
+    with pytest.raises(ValueError):
+        Mould.from_components(depth, comps)
+
+
+def test_input_validation_survives_optimize():
+    # python -O strips assert statements; the checks must not depend on them
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = "\n".join([
+        "from mouldkit.kernel import MultiPoly",
+        "from mouldkit.mould import Mould",
+        "cases = [lambda: MultiPoly(-1), lambda: MultiPoly(2, {(1,): 1}),",
+        "         lambda: MultiPoly(1, {(-1,): 1}), lambda: Mould([]),",
+        "         lambda: Mould([0, MultiPoly.var(2, 0)]), lambda: Mould([0, 'x1']),",
+        "         lambda: Mould.from_components(2, {2: MultiPoly.var(3, 0)})]",
+        "for case in cases:",
+        "    try:",
+        "        case()",
+        "    except (TypeError, ValueError):",
+        "        continue",
+        "    raise SystemExit('accepted bad input')",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_constant_mould():
@@ -311,6 +365,21 @@ def test_u_map_depth4_pin():
         4,
     )
     assert got == expected
+
+
+def test_u_component_pins():
+    m = Mo(2, {1: {(3,): 2}, 2: {(1, 0): 1}})
+    assert u_component(m, 1) == m.component(1)
+    assert u_component(m, 4).is_zero() and u_component(m, 4).nvars == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(moulds(max_depth=4, max_deg=3, min_depth=0))
+def test_u_map_is_translate_of_swap(m):
+    # the composition t o swap is the oracle for the one-substitution form
+    want = translate_t(swap(m))
+    got = u_map(m)
+    assert got == want and got.depth == want.depth == m.depth + 1
 
 
 # -- coll --------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mouldkit.mould
 from mouldkit.kernel import MultiPoly, NoSolution
 from mouldkit.mould import (
     ConstantMould,
@@ -204,6 +205,28 @@ def test_eq41_r1_detects_odd_depth1():
 @given(moulds(max_depth=4, max_deg=4), st.integers(1, 3))
 def test_eq41_agrees_with_senary(m, r):
     assert senary_holds(m, r) == senary_eq41_holds(m, r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(moulds(max_depth=3, max_deg=4), st.booleans())
+def test_eq41_agrees_with_senary_at_depth_and_beyond(m, beyond):
+    r = m.depth + 1 if beyond else m.depth
+    assert senary_holds(m, r) == senary_eq41_holds(m, r)
+
+
+def test_eq41_substitutes_only_what_it_reads(monkeypatch):
+    seen = []
+    real = mouldkit.mould.substitute
+
+    def recording(p, forms, out_nvars):
+        seen.append(out_nvars)
+        return real(p, forms, out_nvars)
+
+    monkeypatch.setattr(mouldkit.mould, "substitute", recording)
+    m = Mo(4, {1: {(2,): 1}, 2: {(1, 0): 1}, 3: {(1, 0, 0): 1},
+               4: {(1, 1, 1, 1): 1}})
+    senary_eq41_holds(m, 1)
+    assert seen == [2]
 
 
 # -- membership predicates ---------------------------------------------------
