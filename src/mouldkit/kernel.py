@@ -16,14 +16,40 @@
 #   - lexicographic order on exponent tuples is the monomial order used by
 #     exact division (it is a well-order, so division always terminates)
 #
-# Linear algebra (nullspace, solve_linear, rank) goes through one certified
-# elimination path, _eliminate.  Each row is scaled to integers and a
-# streaming elimination mod the prime p = 2^61 - 1 picks at most cols rows
-# that are independent mod p, hence independent over Q.  The exact Fraction
-# RREF runs on those rows only, and its answer is certified over Q against
-# every input row before it is returned.  A certified answer is the one the
-# RREF of all rows gives, bit for bit; if the certificate fails (an unlucky
-# prime), the same RREF runs on all rows.  No mod-p value is ever returned.
+# Linear algebra (nullspace, solve_linear, rank) starts from one screen.
+# Each row is scaled to integers, and a streaming elimination mod the prime
+# p = 2^61 - 1 picks at most cols rows that are independent mod p, hence
+# independent over Q, while it keeps the null space mod p of the rows picked
+# so far.  Every unpicked row lies in their span mod p, so that is also the
+# null space mod p of all rows.  No mod-p value is ever returned unchecked.
+#
+# nullspace lifts that null space to Q without any Fraction elimination.
+# The basis mod p is brought to RREF-kernel shape, taking pivots from the
+# rightmost column: each vector has 1 on its own free column, 0 on the other
+# free columns and is supported on columns up to its own.  Every entry is
+# recovered by rational reconstruction (Wang, SYMSAC 1981) with |num|, den
+# < 2^30, the vectors are made primitive, and each is certified to have zero
+# integer dot product with every input row.  A certified basis is exact and
+# equal, bit for bit, to the one the RREF of all rows gives:
+#   - the rank over Q is at least the rank mod p, so dim ker over Q is at
+#     most dim ker mod p;
+#   - the certified vectors lie in the kernel over Q, are independent (each
+#     has a nonzero entry on its own free column and 0 on the others), and
+#     are as many as dim ker mod p, so they are a basis of the kernel over Q;
+#   - the free columns of an RREF are the positions of the last nonzero
+#     entries of the kernel's vectors, and an echelon basis with distinct
+#     last positions shows all of those, so the free columns mod p are the
+#     free columns over Q;
+#   - a kernel vector is fixed by its entries on the free columns, so each
+#     certified vector is a multiple of the RREF's vector for its free
+#     column, and the primitive form of a line is unique.
+# If an entry does not reconstruct or the certificate fails, the exact
+# Fraction RREF runs on the picked rows, its answer is certified the same
+# way, and if that fails too (an unlucky prime) the RREF runs on all rows.
+#
+# solve_linear takes that RREF path directly: the RREF of the picked rows of
+# the augmented system, certified by (x, -1) against every row, and the RREF
+# of all rows if the certificate fails.
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -579,13 +605,16 @@ _P = (1 << 61) - 1  # the screening prime, a Mersenne prime
 def _integer_row(row):
     """A row of Fractions times the lcm of its denominators: integers with
     the same span."""
-    d = lcm(*(x.denominator for x in row))
+    d = lcm(*{x.denominator for x in row})
+    if d == 1:
+        return [x.numerator for x in row]
     return [x.numerator * (d // x.denominator) for x in row]
 
 
 def _independent_rows(int_rows, cols):
-    """Indices of the rows that are independent mod _P of the rows picked
-    before them, at most cols of them, in input order.
+    """The indices of the rows that are independent mod _P of the rows
+    picked before them, at most cols of them, in input order; and a basis
+    of the null space mod _P of all rows.
 
     kernel spans the null space mod _P of the rows picked so far, so a row
     lies in their span mod _P iff it is orthogonal to every kernel vector.
@@ -596,7 +625,7 @@ def _independent_rows(int_rows, cols):
     for i, row in enumerate(int_rows):
         if not kernel:
             break
-        nonzero = [(j, r) for j, r in enumerate(x % _P for x in row) if r]
+        nonzero = [(j, x % _P) for j, x in enumerate(row) if x]
         dots = [sum(r * v[j] for j, r in nonzero) % _P for v in kernel]
         t = next((t for t, d in enumerate(dots) if d), None)
         if t is None:
@@ -608,7 +637,55 @@ def _independent_rows(int_rows, cols):
             if d:
                 f = d * inv % _P
                 kernel[s] = [(a - f * b) % _P for a, b in zip(kernel[s], v_t)]
-    return picked
+    return picked, kernel
+
+
+_BOUND = 1 << 30  # reconstruction bound; 2 * (_BOUND - 1)**2 < _P
+
+
+def _rational(u):
+    """The fraction n/d with |n|, d < _BOUND and n = u*d mod _P, or None.
+
+    Wang's rational reconstruction: run the extended Euclidean algorithm on
+    (_P, u), keeping r = t*u mod _P, until the remainder drops below the
+    bound.  Such a fraction is unique when it exists."""
+    r0, r1, t0, t1 = _P, u, 0, 1
+    while r1 >= _BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) >= _BOUND:
+        return None
+    return Fraction(r1, t1)
+
+
+def _lifted_kernel(vecs, cols):
+    """The primitive rational basis that a null space mod _P proposes, one
+    vector per free column in column order (see the header), or None if an
+    entry does not reconstruct.  The list vecs is reduced in place."""
+    free = []
+    for c in range(cols - 1, -1, -1):
+        r = len(free)
+        if r == len(vecs):
+            break
+        piv = next((i for i in range(r, len(vecs)) if vecs[i][c]), None)
+        if piv is None:
+            continue
+        vecs[r], vecs[piv] = vecs[piv], vecs[r]
+        inv = pow(vecs[r][c], -1, _P)
+        vecs[r] = v_r = [x * inv % _P for x in vecs[r]]
+        for i, v in enumerate(vecs):
+            if i != r and v[c]:
+                f = v[c]
+                vecs[i] = [(a - f * b) % _P for a, b in zip(v, v_r)]
+        free.append(c)
+    basis = []
+    for _, v in sorted(zip(free, vecs)):
+        vec = [_rational(x) for x in v]
+        if any(x is None for x in vec):
+            return None
+        basis.append(_primitive(vec))
+    return basis
 
 
 def _annihilates(vectors, int_rows):
@@ -620,16 +697,24 @@ def _annihilates(vectors, int_rows):
     return True
 
 
-def _eliminate(rows, cols, read_off):
+def _eliminate(rows, cols, read_off, lift=None):
     """The answer read off the RREF of rows (lists of Fractions, cols wide).
 
     read_off(entries, pivots, cols) returns (answer, witnesses): the answer
     from an RREF, and vectors whose orthogonality to every input row proves
     that the rows it was computed from span the input's row space.  The RREF
     of a row space is unique, so a certified answer equals the one from the
-    full RREF."""
+    full RREF.  lift(kernel, cols), if given, turns the null space mod _P of
+    all rows into an answer that is its own witness, or None; a certified
+    lift needs no RREF at all."""
     int_rows = [_integer_row(row) for row in rows]
-    entries = [list(rows[i]) for i in _independent_rows(int_rows, cols)]
+    picked, kernel = _independent_rows(int_rows, cols)
+    if lift is not None:
+        answer = lift(kernel, cols)
+        if answer is not None and _annihilates(answer, int_rows):
+            return answer
+    del kernel
+    entries = [list(rows[i]) for i in picked]
     answer, witnesses = read_off(entries, _rref(entries, cols), cols)
     if _annihilates(witnesses, int_rows):
         return answer
@@ -678,7 +763,7 @@ def nullspace(mat):
     Basis vectors are produced one per free column (in increasing column
     order), scaled to primitive integer form.  rank + len(basis) = cols."""
     _check_matrix(mat)
-    return _eliminate(mat.entries, mat.cols, _kernel_basis)
+    return _eliminate(mat.entries, mat.cols, _kernel_basis, _lifted_kernel)
 
 
 def solve_linear(mat, rhs):

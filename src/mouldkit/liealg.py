@@ -4,6 +4,7 @@
 # primitivity test), and the graded basis solvers over Lyndon coordinates.
 
 from fractions import Fraction
+from math import lcm
 
 from .kernel import (
     NoSolution,
@@ -232,14 +233,20 @@ def _max_word_weight(p):
     return max(len(wd) for wd in p.terms) or 1
 
 
+def _check_ncpoly(p, name):
+    if not isinstance(p, NCPoly):
+        raise TypeError("%s needs an NCPoly, got %s" % (name, type(p).__name__))
+
+
 def pi_Y(p):
     """Kill words ending in x; send x^{a_1} y ... x^{a_m} y to
     (-1)^m y_{a_1+1} ... y_{a_m+1}, order preserved."""
-    assert isinstance(p, NCPoly), p
-    assert set(p.alphabet) <= {"x", "y"}, p.alphabet
-    n = _max_word_weight(p)
-    alphabet = _y_alphabet(n)
-    out = NCPoly.zero(alphabet)
+    _check_ncpoly(p, "pi_Y")
+    if not set(p.alphabet) <= set(XY):
+        raise ValueError("pi_Y needs an alphabet within x, y, got %r" % (p.alphabet,))
+    alphabet = _y_alphabet(_max_word_weight(p))
+    # the words ending in y (and the empty word) map one to one
+    out = {}
     for wd, c in p.terms.items():
         if wd and wd[-1] == "x":
             continue
@@ -251,59 +258,79 @@ def pi_Y(p):
             else:
                 letters.append("y%d" % (run + 1))
                 run = 0
-        sign = -1 if len(letters) % 2 else 1
-        out = out + NCPoly.from_word(alphabet, tuple(letters), sign * c)
-    return out
+        out[tuple(letters)] = -c if len(letters) % 2 else c
+    return NCPoly._raw(alphabet, out)
 
 
 def star_regularize(p):
     """p_* = p_corr + pi_Y(p) with
     p_corr = sum_n (-1)^n / n * c_{x^{n-1} y}(p) * y_1^n."""
-    assert isinstance(p, NCPoly), p
-    n = _max_word_weight(p)
-    alphabet = _y_alphabet(n)
+    _check_ncpoly(p, "star_regularize")
     out = pi_Y(p)
-    for k in range(1, n + 1):
+    for k in range(1, _max_word_weight(p) + 1):
         c = coefficient(p, ("x",) * (k - 1) + ("y",))
         if c:
-            sign = -1 if k % 2 else 1
-            out = out + NCPoly.from_word(
-                alphabet, ("y1",) * k, Fraction(sign, k) * c
-            )
+            key = ("y1",) * k
+            v = out.terms.get(key, 0) + Fraction(-1 if k % 2 else 1, k) * c
+            if v:
+                out.terms[key] = v
+            else:
+                del out.terms[key]
     return out
 
 
-def delta_star(p):
+def _y_index(s):
+    if not (isinstance(s, str) and s[:1] == "y" and s[1:].isdigit()):
+        raise ValueError("delta_star needs letters y<n>, got %r" % (s,))
+    return int(s[1:])
+
+
+def _word_coproduct(wd, memo):
+    """Delta_* of one y-word as {(left word, right word): positive int
+    count}, built from the coproduct of its prefix and kept in memo."""
+    got = memo.get(wd)
+    if got is None:
+        if not wd:
+            got = {((), ()): 1}
+        else:
+            n = _y_index(wd[-1])
+            splits = [
+                (("y%d" % i,) if i else (), ("y%d" % (n - i),) if n - i else ())
+                for i in range(n + 1)
+            ]
+            got = {}
+            for (left, right), k in _word_coproduct(wd[:-1], memo).items():
+                for a, b in splits:
+                    key = (left + a, right + b)
+                    got[key] = got.get(key, 0) + k
+        memo[wd] = got
+    return got
+
+
+def delta_star(p, memo=None):
     """The coproduct with Delta(y_n) = sum_i y_i (x) y_{n-i}, y_0 = 1,
     extended multiplicatively to words and linearly; returned as a mapping
-    (left word, right word) -> coefficient."""
-    assert isinstance(p, NCPoly), p
-    out = {}
+    (left word, right word) -> coefficient.
+
+    memo, a dict, holds word coproducts for reuse by later calls; one
+    graded solve shares one."""
+    _check_ncpoly(p, "delta_star")
+    if memo is None:
+        memo = {}
+    # integer numerators over the common denominator of p's coefficients
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    acc = {}
     for wd, c in p.terms.items():
-        pairs = {((), ()): Fraction(1)}
-        for s in wd:
-            assert s[0] == "y" and s[1:].isdigit(), s
-            n = int(s[1:])
-            grown = {}
-            for (left, right), cc in pairs.items():
-                for i in range(n + 1):
-                    nl = left + ("y%d" % i,) if i else left
-                    nr = right + ("y%d" % (n - i),) if n - i else right
-                    key = (nl, nr)
-                    grown[key] = grown.get(key, Fraction(0)) + cc
-            pairs = grown
-        for key, cc in pairs.items():
-            v = out.get(key, Fraction(0)) + c * cc
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
+        a = c.numerator * (d // c.denominator)
+        for key, k in _word_coproduct(wd, memo).items():
+            acc[key] = acc.get(key, 0) + a * k
+    return {key: Fraction(v, d) for key, v in acc.items() if v}
 
 
-def primitivity_defect(p):
+def primitivity_defect(p, memo=None):
     """delta_star(p) - p (x) 1 - 1 (x) p, as the same kind of mapping."""
-    out = delta_star(p)
+    _check_ncpoly(p, "primitivity_defect")
+    out = delta_star(p, memo)
     for wd, c in p.terms.items():
         for key in ((wd, ()), ((), wd)):
             v = out.get(key, Fraction(0)) - c
@@ -359,8 +386,9 @@ def dmr_basis(w, bound=WEIGHT_BOUND):
     words = lyndon_words(w, XY)
     brackets = lyndon_basis(w, XY)
     xy_row = [coefficient(b, ("x", "y")) for b in brackets]
+    memo = {}  # word coproducts, shared by the brackets of this solve
     defects = [
-        primitivity_defect(star_regularize(scale_letter(b, "y", -1)))
+        primitivity_defect(star_regularize(scale_letter(b, "y", -1)), memo)
         for b in brackets
     ]
     rows = [xy_row] + column_rows(defects)

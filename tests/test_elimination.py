@@ -196,7 +196,29 @@ def test_tall_matrix_is_solved_on_at_most_cols_rows(rref_calls):
     rows = _random_rows(rng, 40, 6)
     m = RatMatrix(40, 6, rows)
     assert nullspace(m) == reference_nullspace(m)
-    assert len(rref_calls) == 1 and rref_calls[0] <= 6
+    assert rref_calls == []
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, -(2**40 + 1)]], [[2**31, 1]], [[3, 0, -(2**40 + 1)], [0, 1, 5]]],
+    ids=["numerator-2^40", "denominator-2^31", "numerator-2^40-of-3"],
+)
+def test_entry_beyond_reconstruction_bound_falls_back_to_rref(rows, rref_calls):
+    # The kernel mod p is right, but an entry of its RREF-kernel form has a
+    # numerator or denominator of 2^30 or more, so it does not reconstruct;
+    # the RREF of the picked rows gives the answer, and it certifies.
+    m = RatMatrix(len(rows), len(rows[0]), rows)
+    assert nullspace(m) == reference_nullspace(m)
+    assert rref_calls == [m.rows]
+
+
+def test_rational_reconstruction_pins():
+    for q in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(2**30 - 1, 2**30 - 3)):
+        u = q.numerator * pow(q.denominator, -1, P) % P
+        assert kernel._rational(u) == q
+    assert kernel._rational(2**30) is None
+    assert kernel._rational(pow(2**30, -1, P)) is None
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 # special derivations, the y-alphabet regularization, the coproduct
 # primitivity test, and the graded dmr/krv basis solvers.
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -331,6 +333,23 @@ def test_dmr_members_and_complement():
                 break
         else:
             raise AssertionError("no complement witness at w=%d" % w)
+
+
+# sha256 of json.dumps([[str(c) for c in v] for v in basis.vectors]),
+# recorded from the Fraction-RREF solvers; the modular path must match them
+BASIS_DIGESTS = {
+    ("dmr", 9): "6afb1f9322b606ee47c658c97fa60b7dd9aef6fb10b5ff54e727af3a05b61567",
+    ("krv", 9): "dde55fa20528c55c823da1dc50951e38fb7420684ad9259f372715dd3771b9ac",
+    ("dmr", 10): "38dd5352644b34d8b9090834c1173a9e3f52ba8ca48e5307e4b64dbea132ee3b",
+    ("krv", 10): "d8c1ecdb995f12af43d99c8b9dc02c205a38d5cd73e77e6dd7fbd2e10089707a",
+}
+
+
+@pytest.mark.parametrize("name, w", sorted(BASIS_DIGESTS))
+def test_basis_digest_pins(name, w):
+    basis = {"dmr": dmr_basis, "krv": krv_basis}[name](w)
+    text = json.dumps([[str(c) for c in v] for v in basis.vectors])
+    assert hashlib.sha256(text.encode()).hexdigest() == BASIS_DIGESTS[name, w]
 
 
 def test_dmr_krv_dims_match_weight3():
