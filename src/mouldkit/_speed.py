@@ -62,9 +62,10 @@ def mul_terms(a, b):
 
 
 def concat_mul_terms(a, b):
-    """Product where the factors live on disjoint variable blocks, so the
-    exponent tuples concatenate instead of adding.  This is the inner loop
-    of the mould product."""
+    """Product where keys combine by `+`.  For the mould product the
+    factors live on disjoint variable blocks, so the exponent tuples
+    concatenate; substitute passes Kronecker-packed int monomials, which
+    add."""
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():

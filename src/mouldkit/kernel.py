@@ -246,40 +246,71 @@ def substitute(p, forms, out_nvars):
         raise MalformedSubstitution(
             "expected %d forms, got %d" % (p.nvars, len(forms))
         )
-    base = []
+    rows = []
     for f in forms:
         f = tuple(f)
         if len(f) != out_nvars:
             raise MalformedSubstitution(
                 "form %r does not have %d coefficients" % (f, out_nvars)
             )
-        d = {}
-        for j, c in enumerate(f):
-            c = rat(c)
-            if c:
-                e = [0] * out_nvars
-                e[j] = 1
-                d[tuple(e)] = c
-        base.append(d)
+        rows.append([rat(c) for c in f])
+    if not p.terms:
+        return MultiPoly.zero(out_nvars)
+    # Each output exponent is at most the total degree of its source term,
+    # so monomials pack into ints in base B (variable j weighs B**j) and a
+    # monomial product is one int addition.  Each form is scaled to integer
+    # coefficients, f_i = g_i / d_i, and the term coefficients c / prod
+    # d_i^e_i go over one common denominator L, so all the expansion runs in
+    # ints and one Fraction is made per output monomial.
+    B = max(sum(e) for e in p.terms) + 1
+    base, dens = [], []
+    for f in rows:
+        d = lcm(*(c.denominator for c in f))
+        base.append(
+            {B**j: c.numerator * (d // c.denominator) for j, c in enumerate(f) if c}
+        )
+        dens.append(d)
 
-    one = {(0,) * out_nvars: Fraction(1)}
-    # powers of each substituted form, built on demand and reused across terms
-    pow_cache = [[one] for _ in range(p.nvars)]
-    out = {}
+    scaled = []
     for e, c in p.terms.items():
-        term = {(0,) * out_nvars: c}
+        den = 1
+        for d, ei in zip(dens, e):
+            den *= d**ei
+        scaled.append((e, c / den))
+    L = lcm(*(s.denominator for _, s in scaled))
+
+    # powers of each substituted form, built on demand and reused across terms
+    pow_cache = [[{0: 1}] for _ in range(p.nvars)]
+    out = {}
+    for e, s in scaled:
+        term = {0: s.numerator * (L // s.denominator)}
         for i, ei in enumerate(e):
             if not ei:
                 continue
             cache = pow_cache[i]
             while len(cache) <= ei:
-                cache.append(_sp.mul_terms(cache[-1], base[i]))
-            term = _sp.mul_terms(term, cache[ei])
+                cache.append(_sp.concat_mul_terms(cache[-1], base[i]))
+            term = _sp.concat_mul_terms(term, cache[ei])
             if not term:
                 break
-        if term:
-            out = _sp.add_terms(out, term)
-    return MultiPoly._raw(out_nvars, out)
+        for k, n in term.items():
+            t = out.get(k)
+            if t is None:
+                out[k] = n
+            else:
+                t += n
+                if t:
+                    out[k] = t
+                else:
+                    del out[k]
+    terms = {}
+    for k, n in out.items():
+        ex = []
+        for _ in range(out_nvars):
+            k, r = divmod(k, B)
+            ex.append(r)
+        terms[tuple(ex)] = Fraction(n, L)
+    return MultiPoly._raw(out_nvars, terms)
 
 
 def permute_vars(p, perm):

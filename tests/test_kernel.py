@@ -167,6 +167,90 @@ def test_substitute_is_ring_hom(a, b):
     assert substitute(a * b, forms, 3) == sa * sb
 
 
+def reference_substitute(p, forms, out_nvars):
+    """The tuple-and-Fraction substitute that the packed-int one replaced."""
+
+    def add(a, b):
+        out = dict(a)
+        for k, c in b.items():
+            t = out.get(k, 0) + c
+            if t:
+                out[k] = t
+            else:
+                out.pop(k, None)
+        return out
+
+    def mul(a, b):
+        out = {}
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                out = add(out, {tuple(u + v for u, v in zip(ka, kb)): ca * cb})
+        return out
+
+    base = []
+    for f in forms:
+        d = {}
+        for j, c in enumerate(f):
+            c = rat(c)
+            if c:
+                e = [0] * out_nvars
+                e[j] = 1
+                d[tuple(e)] = c
+        base.append(d)
+
+    one = {(0,) * out_nvars: Fraction(1)}
+    pow_cache = [[one] for _ in range(p.nvars)]
+    out = {}
+    for e, c in p.terms.items():
+        term = {(0,) * out_nvars: c}
+        for i, ei in enumerate(e):
+            if not ei:
+                continue
+            cache = pow_cache[i]
+            while len(cache) <= ei:
+                cache.append(mul(cache[-1], base[i]))
+            term = mul(term, cache[ei])
+            if not term:
+                break
+        if term:
+            out = add(out, term)
+    return out
+
+
+@st.composite
+def substitutions(draw):
+    p = draw(polys(max_deg=3, max_terms=4))
+    out_nvars = draw(st.integers(min_value=0, max_value=3))
+    coeff = st.one_of(st.integers(min_value=-2, max_value=2), fractions_st)
+    forms = [
+        tuple(draw(st.lists(coeff, min_size=out_nvars, max_size=out_nvars)))
+        for _ in range(p.nvars)
+    ]
+    return p, forms, out_nvars
+
+
+@given(substitutions())
+@settings(max_examples=100)
+def test_substitute_matches_reference(case):
+    p, forms, out_nvars = case
+    got = substitute(p, forms, out_nvars)
+    want = reference_substitute(p, forms, out_nvars)
+    assert got.nvars == out_nvars
+    assert list(got.terms.items()) == list(want.items())
+    assert all(isinstance(c, Fraction) for c in got.terms.values())
+
+
+def test_substitute_packed_pins():
+    # a constant has total degree 0, so it packs in base 1
+    assert substitute(MultiPoly.const(2, 7), [(1, 2), (3, 4)], 2) == MultiPoly.const(2, 7)
+    # rational forms: (x1/2 + x2/3)^2 * 6 = 3/2 x1^2 + 2 x1 x2 + 2/3 x2^2
+    q = substitute(P(1, {(2,): 6}), [(Fraction(1, 2), Fraction(1, 3))], 2)
+    assert q == P(2, {(2, 0): Fraction(3, 2), (1, 1): 2, (0, 2): Fraction(2, 3)})
+    # the shape of the forms is checked even when p is zero
+    with pytest.raises(MalformedSubstitution):
+        substitute(MultiPoly.zero(1), [(1,)], 2)
+
+
 def test_permute_and_embed():
     x1, x2 = x(2, 0), x(2, 1)
     p = x1 * x1 + 3 * x2
