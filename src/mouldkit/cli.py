@@ -1,5 +1,7 @@
 # Command-line front end: serialization of polynomials and moulds, the
-# verification campaigns, JSON/text reports, and the basis result cache.
+# verification campaigns and JSON/text reports.  Every basis is solved by
+# dmr_basis/krv_basis in process; paper-suite solves each (algebra, weight)
+# once per invocation.
 #
 # Wire conventions: rationals are strings like "-3/7"; a polynomial in x, y
 # is a list of {"coeff", "word"}; a mould is an object keyed by depth whose
@@ -7,12 +9,12 @@
 # runs for identical inputs, which is why timings are opt-in.
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import random
 import sys
-import tempfile
 import time
 import traceback
 from fractions import Fraction
@@ -22,7 +24,6 @@ from .bridge import F_to_ftilde, ftilde_to_F, ma, vimo
 from .kernel import MultiPoly, NoSolution, substitute
 from .liealg import (
     WEIGHT_BOUND,
-    SubspaceBasis,
     WeightBoundError,
     dmr_basis,
     fil2_dimension,
@@ -138,8 +139,11 @@ def mould_from_json(obj, loc="input"):
     maxd = 0
     for key, entries in obj.items():
         here = "%s.%s" % (loc, key)
-        if not (isinstance(key, str) and key.isdigit()):
-            raise ParseError("depth key must be a digit string", here)
+        # canonical ASCII decimals only: "01" would alias depth 1, and
+        # str.isdigit accepts digits that int() rejects, such as a superscript 2
+        if not (isinstance(key, str) and key.isascii() and key.isdigit()
+                and (key == "0" or key[0] != "0")):
+            raise ParseError("depth key must be 0 or a decimal without a leading zero", here)
         d = int(key)
         maxd = max(maxd, d)
         if not isinstance(entries, list):
@@ -173,58 +177,9 @@ def _digest(payload):
     return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 
-# ---------------------------------------------------------------------------
-# basis cache
-
-def _cache_dir(args):
-    d = getattr(args, "cache_dir", None) or os.environ.get("MOULDKIT_CACHE")
-    return d or None
-
-
-def _read_cache(path, key, weight):
-    """The basis a cache file stores under key, or None when the file is
-    missing, does not parse, lacks a field, or holds a vector of the wrong
-    length."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if data["key"] != key:
-            return None
-        return SubspaceBasis(
-            weight,
-            [tuple(wd) for wd in data["ambient"]],
-            [[Fraction(c) for c in v] for v in data["vectors"]],
-        )
-    except (OSError, ValueError, TypeError, KeyError, ZeroDivisionError):
-        return None
-
-
-def cached_basis(algebra, weight, cache_dir):
-    """dmr/krv basis with an optional content-addressed JSON cache, keyed by
-    (algebra, weight, package version).  A file that cannot be read back
-    under its key is recomputed and replaced; writes are atomic."""
-    assert algebra in ("dmr", "krv"), algebra
-    solver = dmr_basis if algebra == "dmr" else krv_basis
-    if cache_dir is None:
-        return solver(weight)
-    key = {"algebra": algebra, "weight": weight, "version": __version__}
-    name = "basis-" + _digest(key)[len("sha256:"):] + ".json"
-    path = os.path.join(cache_dir, name)
-    hit = _read_cache(path, key, weight)
-    if hit is not None:
-        return hit
-    basis = solver(weight)
-    os.makedirs(cache_dir, exist_ok=True)
-    data = {
-        "key": key,
-        "ambient": ["".join(wd) for wd in basis.ambient],
-        "vectors": [[fmt_rat(c) for c in v] for v in basis.vectors],
-    }
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(data, fh, sort_keys=True)
-    os.replace(tmp, path)
-    return basis
+def _solve(algebra, weight):
+    # the solvers are looked up at call time, so rebinding them is seen
+    return (dmr_basis if algebra == "dmr" else krv_basis)(weight)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +286,7 @@ def cmd_verify_senary(args):
         if w is None:
             raise ParseError("--weight or --input is required", "arguments")
         echo["weight"] = w
-        basis = cached_basis("dmr", w, _cache_dir(args))
+        basis = dmr_basis(w)
         checks.append(_check("dmr basis solved (dim %d)" % basis.dimension, True))
         for i, f in enumerate(basis.elements()):
             _senary_items(ma(f), "element %d" % i, rmax, checks, conjectural)
@@ -341,7 +296,7 @@ def cmd_verify_senary(args):
 def cmd_basis(args):
     echo = {"command": "basis", "algebra": args.algebra, "weight": args.weight}
     t0 = time.monotonic()
-    basis = cached_basis(args.algebra, args.weight, _cache_dir(args))
+    basis = _solve(args.algebra, args.weight)
     elapsed = time.monotonic() - t0
     checks = [
         _check("%s basis at weight %d: dimension %d"
@@ -522,10 +477,9 @@ def _random_mould(rng, depth, deg):
     return Mould.from_components(depth, comps)
 
 
-def _suite_senary_on_dmr(checks, conjectural, wmax, cache_dir):
+def _suite_senary_on_dmr(checks, conjectural, wmax, basis_of):
     for w in range(3, min(8, wmax) + 1):
-        basis = cached_basis("dmr", w, cache_dir)
-        for i, f in enumerate(basis.elements()):
+        for i, f in enumerate(basis_of("dmr", w).elements()):
             mo = ma(f)
             for r in (1, 2, 3):
                 checks.append(
@@ -641,9 +595,9 @@ def _suite_vimo_invariants(checks, rng, wmax):
             )
 
 
-def _suite_dimensions(checks, wmax, cache_dir):
+def _suite_dimensions(checks, wmax, basis_of):
     for w in range(3, min(6, wmax) + 1):
-        dmr_dim = cached_basis("dmr", w, cache_dir).dimension
+        dmr_dim = basis_of("dmr", w).dimension
         alil_dim = len(ari_alil_space(w))
         checks.append(
             _check(
@@ -653,7 +607,7 @@ def _suite_dimensions(checks, wmax, cache_dir):
                 {"w": w, "dmr": dmr_dim, "moulds": alil_dim},
             )
         )
-        krv_f = cached_basis("krv", w, cache_dir).elements()
+        krv_f = basis_of("krv", w).elements()
         fil2_krv = fil2_dimension([F_to_ftilde(F) for F in krv_f])
         sena_dim = len(ari_sena_pusnu_space(w))
         checks.append(
@@ -666,11 +620,11 @@ def _suite_dimensions(checks, wmax, cache_dir):
         )
 
 
-def _suite_embedding(checks, wmax, cache_dir):
+def _suite_embedding(checks, wmax, basis_of):
     for w in (3, 5):
         if w > wmax:
             continue
-        for i, f in enumerate(cached_basis("dmr", w, cache_dir).elements()):
+        for i, f in enumerate(basis_of("dmr", w).elements()):
             # dmr vectors are stated in f-tilde coordinates; map back
             F = ftilde_to_F(f)
             G = solve_G(F, w)
@@ -682,9 +636,9 @@ def _suite_embedding(checks, wmax, cache_dir):
             )
 
 
-def _suite_constant_vanishing(checks, wmax, cache_dir):
+def _suite_constant_vanishing(checks, wmax, basis_of):
     for w in range(3, min(8, wmax) + 1):
-        for i, f in enumerate(cached_basis("dmr", w, cache_dir).elements()):
+        for i, f in enumerate(basis_of("dmr", w).elements()):
             cert = alternil_up_to_constant(swap(ma(f)))
             ok = not isinstance(cert, NoSolution) and cert.constant.value(2) == 0
             checks.append(
@@ -703,7 +657,8 @@ def cmd_paper_suite(args):
             "max weight %d outside [2, %d]" % (wmax, WEIGHT_BOUND)
         )
     echo = {"command": "paper-suite", "max_weight": wmax}
-    cache_dir = _cache_dir(args)
+    # one solve per (algebra, weight) for this invocation only
+    basis_of = functools.cache(_solve)
     rng = random.Random(SUITE_SEED)
     checks, conjectural = [], []
     timings = {}
@@ -714,19 +669,19 @@ def cmd_paper_suite(args):
         timings[name] = round(time.monotonic() - t0, 3)
 
     timed("krv2", lambda: checks.append(
-        _check("krv trivial at weight 2 (dim %d)" % krv_basis(2).dimension,
-               krv_basis(2).dimension == 0, {"w": 2})
+        _check("krv trivial at weight 2 (dim %d)" % basis_of("krv", 2).dimension,
+               basis_of("krv", 2).dimension == 0, {"w": 2})
     ))
     if wmax >= 3:
-        timed("senary-dmr", _suite_senary_on_dmr, checks, conjectural, wmax, cache_dir)
+        timed("senary-dmr", _suite_senary_on_dmr, checks, conjectural, wmax, basis_of)
         timed("equivalences", _suite_equivalences, checks, wmax, rng)
         timed("senary-oracle", _suite_senary_oracle, checks, rng)
         timed("operator-pin", _suite_operator_pin, checks, rng)
         timed("homomorphism", _suite_homomorphism, checks, rng)
         timed("vimo-invariants", _suite_vimo_invariants, checks, rng, wmax)
-        timed("dimensions", _suite_dimensions, checks, wmax, cache_dir)
-        timed("embedding", _suite_embedding, checks, wmax, cache_dir)
-        timed("constants", _suite_constant_vanishing, checks, wmax, cache_dir)
+        timed("dimensions", _suite_dimensions, checks, wmax, basis_of)
+        timed("embedding", _suite_embedding, checks, wmax, basis_of)
+        timed("constants", _suite_constant_vanishing, checks, wmax, basis_of)
     return _assemble(echo, checks, conjectural, timings if args.timings else None)
 
 
@@ -740,8 +695,6 @@ def _parser():
         "membership for the double shuffle / Kashiwara-Vergne dictionary.",
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    ap.add_argument("--cache-dir", default=None,
-                    help="basis cache directory (also env MOULDKIT_CACHE)")
     ap.add_argument("--timings", action="store_true",
                     help="include wall-clock timings in the report")
     sub = ap.add_subparsers(dest="subcommand", required=True)

@@ -369,20 +369,20 @@ def is_dmr(f, w):
 # ---------------------------------------------------------------------------
 # graded bases
 
-def _check_weight(w, bound):
+def _check_weight(w):
     if not 2 <= w:
         raise WeightBoundError("graded solve needs weight >= 2, got %r" % (w,))
-    if w > bound:
+    if w > WEIGHT_BOUND:
         raise WeightBoundError(
-            "weight %d exceeds the configured bound %d" % (w, bound)
+            "weight %d exceeds the configured bound %d" % (w, WEIGHT_BOUND)
         )
 
 
-def dmr_basis(w, bound=WEIGHT_BOUND):
+def dmr_basis(w):
     """Basis of the weight-w double shuffle component, by exact nullspace
     of {c_xy = 0, primitivity of the flipped star regularization} over the
     Lyndon coordinates of L_w."""
-    _check_weight(w, bound)
+    _check_weight(w)
     words = lyndon_words(w, XY)
     brackets = lyndon_basis(w, XY)
     xy_row = [coefficient(b, ("x", "y")) for b in brackets]
@@ -396,14 +396,14 @@ def dmr_basis(w, bound=WEIGHT_BOUND):
     return SubspaceBasis(w, words, vectors)
 
 
-def krv_basis(w, bound=WEIGHT_BOUND):
+def krv_basis(w):
     """Basis of the weight-w Kashiwara-Vergne component.
 
     KV1 and KV2 are jointly linear in (F, G, alpha), so the graded piece is
     one nullspace over the doubled Lyndon coordinates plus the alpha column,
     projected back to F (the projection is injective: F = 0 forces G = 0 by
     ad(x) injectivity and then alpha = 0 against the nonzero target trace)."""
-    _check_weight(w, bound)
+    _check_weight(w)
     words = lyndon_words(w, XY)
     brackets = lyndon_basis(w, XY)
     n = len(brackets)

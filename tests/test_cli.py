@@ -1,5 +1,5 @@
 # Wire-format round trips, parse errors with locations, exit codes, report
-# determinism, and the basis cache.
+# determinism, and one basis solve per (algebra, weight) in paper-suite.
 
 import json
 import os
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from mouldkit.cli import (
     ParseError,
-    cached_basis,
     fmt_rat,
     main,
     mould_from_json,
@@ -23,7 +22,6 @@ from mouldkit.cli import (
     poly_from_json,
     poly_to_json,
 )
-from mouldkit.liealg import dmr_basis
 from mouldkit.mould import Mould
 from mouldkit.ncword import NCPoly, lie_bracket, lyndon_basis
 
@@ -103,6 +101,34 @@ def test_mould_parse_errors():
         mould_from_json({"x": []})
     with pytest.raises(ParseError):
         mould_from_json({"1": [{"coeff": "1", "exponents": [-1]}]})
+
+
+def test_mould_depth_key_with_leading_zero_is_rejected(tmp_path, capsys):
+    # "01" used to alias depth 1 and silently replace its terms
+    obj = {"1": [{"coeff": "1", "exponents": [2]}],
+           "01": [{"coeff": "5", "exponents": [1]}]}
+    with pytest.raises(ParseError) as e:
+        mould_from_json(obj)
+    assert e.value.location == "input.01"
+    path = write(tmp_path, "alias.json", obj)
+    assert main(["check", "alternal", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert "input.01" in captured.err
+    assert captured.out == ""
+    assert mould_from_json({"0": [], "10": []}).depth == 10
+
+
+def test_mould_depth_key_of_non_ascii_digits_is_rejected(tmp_path, capsys):
+    # "\u00b2".isdigit() holds but int() rejects it: exit 2, not 3
+    obj = {"\u00b2": []}
+    with pytest.raises(ParseError) as e:
+        mould_from_json(obj)
+    assert e.value.location == "input.\u00b2"
+    path = write(tmp_path, "super.json", obj)
+    assert main(["check", "alternal", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert "parse error" in captured.err
+    assert captured.out == ""
 
 
 def test_mould_rejects_boolean_exponents(tmp_path, capsys):
@@ -318,117 +344,74 @@ def test_paper_suite_reports_are_byte_identical(capsys):
     assert "timings" not in json.loads(first)
 
 
-# --- cache -------------------------------------------------------------------
+# --- basis solves ------------------------------------------------------------
 
-def test_cached_basis_round_trip(tmp_path, monkeypatch):
-    monkeypatch.delenv("MOULDKIT_CACHE", raising=False)
+def test_paper_suite_solves_each_basis_once(monkeypatch, capsys):
+    import mouldkit.cli as cli
+
+    solved = []
+
+    def counting(name, solver):
+        def wrapper(weight):
+            solved.append((name, weight))
+            return solver(weight)
+        return wrapper
+
+    monkeypatch.setattr(cli, "dmr_basis", counting("dmr", cli.dmr_basis))
+    monkeypatch.setattr(cli, "krv_basis", counting("krv", cli.krv_basis))
+    assert main(["paper-suite", "--max-weight", "8"]) == 0
+    capsys.readouterr()
+    want = [("krv", w) for w in range(2, 7)] + [("dmr", w) for w in range(3, 9)]
+    assert sorted(solved) == sorted(want)
+
+
+@pytest.mark.parametrize("form", ["leading", "joined", "trailing"])
+def test_cache_dir_flag_is_a_usage_error(tmp_path, form):
     cache = str(tmp_path / "cache")
-    direct = dmr_basis(3)
-    first = cached_basis("dmr", 3, cache)
-    assert first == direct
-    files = os.listdir(cache)
-    assert len(files) == 1 and files[0].startswith("basis-")
-    # second call must come from the file and agree exactly
-    second = cached_basis("dmr", 3, cache)
-    assert second == direct
-    assert os.listdir(cache) == files
-
-
-def test_cached_basis_ignores_mismatched_key(tmp_path):
-    cache = str(tmp_path / "cache")
-    cached_basis("krv", 3, cache)
-    (name,) = os.listdir(cache)
-    path = os.path.join(cache, name)
-    data = json.load(open(path))
-    data["key"]["version"] = "0.0.0"
-    json.dump(data, open(path, "w"))
-    again = cached_basis("krv", 3, cache)
-    assert again == dmr_basis(3).__class__(3, again.ambient, again.vectors)
-    assert again.dimension == 1
-
-
-@pytest.mark.parametrize("damage", ["truncate", "drop_vectors", "not_object", "bad_entry"])
-def test_cached_basis_unreadable_file_is_a_miss(tmp_path, damage):
-    cache = str(tmp_path / "cache")
-    direct = dmr_basis(5)
-    cached_basis("dmr", 5, cache)
-    (name,) = os.listdir(cache)
-    path = os.path.join(cache, name)
-    text = open(path).read()
-    if damage == "truncate":
-        broken = text[: len(text) // 2]
-    elif damage == "drop_vectors":
-        data = json.loads(text)
-        del data["vectors"]
-        broken = json.dumps(data)
-    elif damage == "not_object":
-        broken = "[]"
-    else:
-        data = json.loads(text)
-        data["vectors"][0][0] = "1/0"
-        broken = json.dumps(data)
-    with open(path, "w") as fh:
-        fh.write(broken)
-    assert cached_basis("dmr", 5, cache) == direct
-    # the damaged file was replaced by a whole one, and nothing else was left
-    assert os.listdir(cache) == [name]
-    assert json.loads(open(path).read()) == json.loads(text)
-
-
-def _shorten_cached_vector(cache):
-    (name,) = os.listdir(cache)
-    path = os.path.join(cache, name)
-    whole = open(path).read()
-    data = json.loads(whole)
-    data["vectors"][0] = data["vectors"][0][:-1]
-    with open(path, "w") as fh:
-        json.dump(data, fh)
-    return path, whole
-
-
-def test_cached_vector_of_wrong_length_is_a_miss(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    assert main(["--cache-dir", cache, "basis", "dmr", "--weight", "3"]) == 0
-    want = capsys.readouterr().out
-    path, whole = _shorten_cached_vector(cache)
-    assert main(["--cache-dir", cache, "basis", "dmr", "--weight", "3"]) == 0
-    assert capsys.readouterr().out == want
-    assert json.loads(open(path).read()) == json.loads(whole)
-
-
-def test_cached_vector_of_wrong_length_is_a_miss_under_optimize(tmp_path):
-    cache = str(tmp_path / "cache")
-    cached_basis("dmr", 3, cache)
-    path, whole = _shorten_cached_vector(cache)
+    command = ["basis", "dmr", "--weight", "3"]
+    argv = {
+        "leading": ["--cache-dir", cache] + command,
+        "joined": ["--cache-dir=" + cache] + command,
+        "trailing": command + ["--cache-dir", cache],
+    }[form]
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-O", "-m", "mouldkit.cli", "--cache-dir", cache,
-         "basis", "dmr", "--weight", "3"],
+        [sys.executable, "-m", "mouldkit.cli"] + argv,
         env={"PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert done.returncode == 0, done.stderr
-    assert json.loads(open(path).read()) == json.loads(whole)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "usage: mouldkit" in done.stderr
+    if form == "leading":
+        # argparse reads the directory as the subcommand and rejects it
+        assert "invalid choice: %r" % cache in done.stderr
+    else:
+        assert "unrecognized arguments: --cache-dir" in done.stderr
+    assert os.listdir(tmp_path) == []
+
+
+def test_cache_env_variable_is_ignored(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("MOULDKIT_CACHE", raising=False)
+    assert main(["verify-senary", "--weight", "3"]) == 0
+    want = capsys.readouterr().out
+    cache = tmp_path / "envcache"
+    monkeypatch.setenv("MOULDKIT_CACHE", str(cache))
+    assert main(["verify-senary", "--weight", "3"]) == 0
+    assert capsys.readouterr().out == want
+    assert not cache.exists()
+    assert os.listdir(tmp_path) == []
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
     def broken(weight):
         raise RuntimeError("solver exploded")
 
-    monkeypatch.delenv("MOULDKIT_CACHE", raising=False)
     monkeypatch.setattr("mouldkit.cli.dmr_basis", broken)
     assert main(["basis", "dmr", "--weight", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("Traceback")
     assert captured.err.endswith("internal error: RuntimeError: solver exploded\n")
-
-
-def test_cache_env_variable(tmp_path, monkeypatch, capsys):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("MOULDKIT_CACHE", str(cache))
-    assert main(["verify-senary", "--weight", "3"]) == 0
-    capsys.readouterr()
-    assert any(f.startswith("basis-") for f in os.listdir(cache))

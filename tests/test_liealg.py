@@ -4,7 +4,10 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -363,8 +366,6 @@ def test_weight_bound_errors():
         krv_basis(0)
     with pytest.raises(WeightBoundError):
         dmr_basis(13)
-    with pytest.raises(WeightBoundError):
-        krv_basis(5, bound=4)
 
 
 def test_subspace_basis_container():
@@ -374,6 +375,35 @@ def test_subspace_basis_container():
     assert b.elements() == [P1]
     assert b == SubspaceBasis(3, b.ambient, b.vectors)
     assert b != dmr_basis(3)
+
+
+def test_subspace_basis_rejects_vector_of_wrong_length():
+    ambient = (("x", "x", "y"), ("x", "y", "y"))
+    with pytest.raises(ValueError, match="length 1 in a 2-word ambient"):
+        SubspaceBasis(3, ambient, [(1, 0), (1,)])
+    with pytest.raises(ValueError):
+        SubspaceBasis(3, ambient, [(1, 0, 0)])
+
+
+def test_subspace_basis_rejects_vector_of_wrong_length_under_optimize():
+    # the check must not be an assert, which python -O strips
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from mouldkit.liealg import SubspaceBasis\n"
+        "try:\n"
+        "    SubspaceBasis(3, [('x', 'x', 'y'), ('x', 'y', 'y')], [(1,)])\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "rejected\n"
 
 
 # --- fil2_dimension and the filtered cross-check ---------------------------
