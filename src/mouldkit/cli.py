@@ -135,7 +135,6 @@ def mould_from_json(obj, loc="input"):
     if not isinstance(obj, dict):
         raise ParseError("mould must be an object keyed by depth", loc)
     comps = {}
-    m0 = Fraction(0)
     maxd = 0
     for key, entries in obj.items():
         here = "%s.%s" % (loc, key)
@@ -144,6 +143,10 @@ def mould_from_json(obj, loc="input"):
         if not (isinstance(key, str) and key.isascii() and key.isdigit()
                 and (key == "0" or key[0] != "0")):
             raise ParseError("depth key must be 0 or a decimal without a leading zero", here)
+        # ma(f) of weight w has depth at most w, so no input goes deeper than
+        # the weight bound; the length test keeps int() off huge keys
+        if len(key) > len(str(WEIGHT_BOUND)) or int(key) > WEIGHT_BOUND:
+            raise ParseError("depth key above the weight bound %d" % WEIGHT_BOUND, here)
         d = int(key)
         maxd = max(maxd, d)
         if not isinstance(entries, list):
@@ -164,12 +167,8 @@ def mould_from_json(obj, loc="input"):
                 )
             e = tuple(e)
             terms[e] = terms.get(e, Fraction(0)) + c
-        if d == 0:
-            m0 = terms.get((), Fraction(0))
-        else:
-            comps[d] = terms
-    mo = Mould.from_components(maxd, comps)
-    return Mould([m0] + [mo.component(d) for d in range(1, maxd + 1)])
+        comps[d] = terms.get((), Fraction(0)) if d == 0 else terms
+    return Mould.from_components(maxd, comps)
 
 
 def _digest(payload):
@@ -247,11 +246,10 @@ def _load_json(path):
 
 def _senary_items(mo, label, rmax, checks, conjectural):
     for r in range(1, rmax + 1):
-        ok = senary_holds(mo, r)
+        defect = senary_defect(mo, r)
+        ok = defect.is_zero()
         if r <= 3:
-            witness = None
-            if not ok:
-                witness = {"r": r, "defect": mp_to_json(senary_defect(mo, r))}
+            witness = None if ok else {"r": r, "defect": mp_to_json(defect)}
             checks.append(_check("senary r=%d [%s]" % (r, label), ok, witness))
         else:
             conjectural.append(

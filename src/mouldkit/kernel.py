@@ -16,14 +16,15 @@
 #   - lexicographic order on exponent tuples is the monomial order used by
 #     exact division (it is a well-order, so division always terminates)
 #
-# Linear algebra (nullspace, solve_linear, rank) starts from one screen.
-# Each row is scaled to integers, and a streaming elimination mod the prime
-# p = 2^61 - 1 picks at most cols rows that are independent mod p, hence
-# independent over Q, while it keeps the null space mod p of the rows picked
-# so far.  Every unpicked row lies in their span mod p, so that is also the
-# null space mod p of all rows.  No mod-p value is ever returned unchecked.
+# Linear algebra (nullspace, solve_linear, rank) is one kernel computation,
+# _kernel, which starts from a screen.  Each row is scaled to integers, and a
+# streaming elimination mod the prime p = 2^61 - 1 picks at most cols rows
+# that are independent mod p, hence independent over Q, while it keeps the
+# null space mod p of the rows picked so far.  Every unpicked row lies in
+# their span mod p, so that is also the null space mod p of all rows.  No
+# mod-p value is ever returned unchecked.
 #
-# nullspace lifts that null space to Q without any Fraction elimination.
+# _kernel lifts that null space to Q without any Fraction elimination.
 # The basis mod p is brought to RREF-kernel shape, taking pivots from the
 # rightmost column: each vector has 1 on its own free column, 0 on the other
 # free columns and is supported on columns up to its own.  Every entry is
@@ -47,9 +48,11 @@
 # Fraction RREF runs on the picked rows, its answer is certified the same
 # way, and if that fails too (an unlucky prime) the RREF runs on all rows.
 #
-# solve_linear takes that RREF path directly: the RREF of the picked rows of
-# the augmented system, certified by (x, -1) against every row, and the RREF
-# of all rows if the certificate fails.
+# solve_linear(A, b) is the kernel of [A | b]: b is in the column span of A
+# iff column n (the rhs) is free.  An RREF kernel vector is supported on pivot
+# columns left of its own free column, so only the last one, of free column
+# n, can be nonzero on column n, and it is 0 on the other free columns:
+# x = -v[:n] / v[n] is the solution with free variables 0.
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -728,35 +731,11 @@ def _annihilates(vectors, int_rows):
     return True
 
 
-def _eliminate(rows, cols, read_off, lift=None):
-    """The answer read off the RREF of rows (lists of Fractions, cols wide).
-
-    read_off(entries, pivots, cols) returns (answer, witnesses): the answer
-    from an RREF, and vectors whose orthogonality to every input row proves
-    that the rows it was computed from span the input's row space.  The RREF
-    of a row space is unique, so a certified answer equals the one from the
-    full RREF.  lift(kernel, cols), if given, turns the null space mod _P of
-    all rows into an answer that is its own witness, or None; a certified
-    lift needs no RREF at all."""
-    int_rows = [_integer_row(row) for row in rows]
-    picked, kernel = _independent_rows(int_rows, cols)
-    if lift is not None:
-        answer = lift(kernel, cols)
-        if answer is not None and _annihilates(answer, int_rows):
-            return answer
-    del kernel
-    entries = [list(rows[i]) for i in picked]
-    answer, witnesses = read_off(entries, _rref(entries, cols), cols)
-    if _annihilates(witnesses, int_rows):
-        return answer
-    del int_rows  # hold no integer copy beside the full Fraction copy
+def _rref_kernel(rows, cols):
+    """The kernel basis the RREF of rows gives: one primitive vector per free
+    column, in column order."""
     entries = [list(row) for row in rows]
-    return read_off(entries, _rref(entries, cols), cols)[0]
-
-
-def _kernel_basis(entries, pivots, cols):
-    """One primitive kernel vector per free column, in column order; the
-    basis is its own witness (equal kernels mean equal row spaces)."""
+    pivots = _rref(entries, cols)
     pivot_set = set(pivots)
     basis = []
     for fc in range(cols):
@@ -767,20 +746,27 @@ def _kernel_basis(entries, pivots, cols):
         for r, pc in enumerate(pivots):
             vec[pc] = -entries[r][fc]
         basis.append(_primitive(vec))
-    return basis, basis
+    return basis
 
 
-def _augmented_solution(entries, pivots, cols):
-    """The solution with free variables 0 of an augmented RREF, witnessed by
-    (x, -1); or NoSolution, which needs no witness: rows that are
-    inconsistent stay inconsistent among more rows."""
-    n = cols - 1
-    if n in pivots:
-        return NoSolution("inconsistent linear system"), []
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = entries[r][n]
-    return x, [x + [Fraction(-1)]]
+def _kernel(rows, cols):
+    """The RREF's kernel basis of rows (lists of Fractions, cols wide).
+
+    Tried in turn: the lifted null space mod _P, the RREF of the picked rows
+    and the RREF of all rows.  The picked rows' kernel holds that of all
+    rows, so if its basis annihilates every row the kernels, hence the row
+    spaces and their unique RREFs, are equal."""
+    int_rows = [_integer_row(row) for row in rows]
+    picked, kernel = _independent_rows(int_rows, cols)
+    basis = _lifted_kernel(kernel, cols)
+    if basis is not None and _annihilates(basis, int_rows):
+        return basis
+    del kernel
+    basis = _rref_kernel([rows[i] for i in picked], cols)
+    if _annihilates(basis, int_rows):
+        return basis
+    del int_rows  # hold no integer copy beside the full Fraction copy
+    return _rref_kernel(rows, cols)
 
 
 def _check_matrix(mat):
@@ -794,7 +780,7 @@ def nullspace(mat):
     Basis vectors are produced one per free column (in increasing column
     order), scaled to primitive integer form.  rank + len(basis) = cols."""
     _check_matrix(mat)
-    return _eliminate(mat.entries, mat.cols, _kernel_basis, _lifted_kernel)
+    return _kernel(mat.entries, mat.cols)
 
 
 def solve_linear(mat, rhs):
@@ -802,11 +788,14 @@ def solve_linear(mat, rhs):
     NoSolution.  rhs is a sequence of Fractions of length mat.rows."""
     _check_matrix(mat)
     if len(rhs) != mat.rows:
-        raise ValueError(
-            "rhs has %d entries for %d rows" % (len(rhs), mat.rows)
-        )
-    aug = [row + [rat(b)] for row, b in zip(mat.entries, rhs)]
-    return _eliminate(aug, mat.cols + 1, _augmented_solution)
+        raise ValueError("rhs has %d entries for %d rows" % (len(rhs), mat.rows))
+    n = mat.cols
+    basis = _kernel([row + [rat(b)] for row, b in zip(mat.entries, rhs)], n + 1)
+    # only the vector of free column n can be nonzero on column n
+    if not basis or not basis[-1][n]:
+        return NoSolution("inconsistent linear system")
+    v = basis[-1]
+    return [-c / v[n] for c in v[:n]]
 
 
 def rank(mat):

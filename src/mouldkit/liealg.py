@@ -123,6 +123,17 @@ class SubspaceBasis:
 # ---------------------------------------------------------------------------
 # word-coordinate linear solves
 
+def _check_kv_input(name, w, *polys):
+    """Refuse non-NCPoly input, w <= 1, and a nonzero poly not of weight w."""
+    for p in polys:
+        _check_ncpoly(p, name)
+    if w <= 1:
+        raise WeightTooSmall("%s needs weight > 1, got %r" % (name, w))
+    for p in polys:
+        if not p.is_zero() and homogeneous_weight(p) != w:
+            raise ValueError("%s needs polynomials of weight %d" % (name, w))
+
+
 def _solve_in_span(columns, target):
     """Coefficients c with sum c_j columns_j = target, or NoSolution."""
     rows = column_rows([p.terms for p in columns] + [target.terms])
@@ -137,11 +148,7 @@ def solve_G(F, w):
     ad(x) is injective on L_w for w > 1, so the exact linear solve over the
     Lyndon coordinates of L_w is canonical; for w <= 1 uniqueness genuinely
     fails and the call is refused."""
-    assert isinstance(F, NCPoly), F
-    if w <= 1:
-        raise WeightTooSmall("KV1 solve needs weight > 1, got %r" % (w,))
-    if not F.is_zero():
-        assert homogeneous_weight(F) == w, (homogeneous_weight(F), w)
+    _check_kv_input("solve_G", w, F)
     x = NCPoly.letter(XY, "x")
     y = NCPoly.letter(XY, "y")
     target = -lie_bracket(y, F)
@@ -182,8 +189,7 @@ def kv2_check(F, G, w):
 
     Both sides live in the cyclic-word quotient; the right-hand trace is
     nonzero for every w > 1, which pins alpha uniquely."""
-    assert isinstance(F, NCPoly) and isinstance(G, NCPoly), (F, G)
-    assert w > 1, w
+    _check_kv_input("kv2_check", w, F, G)
     x = NCPoly.letter(XY, "x")
     y = NCPoly.letter(XY, "y")
     G_x = decompose_right(G)[0]

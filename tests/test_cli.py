@@ -131,6 +131,21 @@ def test_mould_depth_key_of_non_ascii_digits_is_rejected(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("key", ["13", "1000000", "1" * 5000])
+def test_mould_depth_key_above_weight_bound_is_rejected(tmp_path, capsys, key):
+    # at weight w <= 12, ma(f) has depth at most w; a deeper key used to
+    # build every empty component up to it and pass alternality
+    with pytest.raises(ParseError) as e:
+        mould_from_json({key: []})
+    assert e.value.location == "input." + key
+    path = write(tmp_path, "deep.json", {key: []})
+    assert main(["check", "alternal", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert "weight bound" in captured.err
+    assert captured.out == ""
+    assert mould_from_json({"12": []}).depth == 12
+
+
 def test_mould_rejects_boolean_exponents(tmp_path, capsys):
     # bool is an int subclass; a JSON true must not pass for the exponent 1
     with pytest.raises(ParseError) as e:

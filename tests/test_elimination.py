@@ -1,10 +1,12 @@
-"""Differential tests for the certified elimination path of kernel.py.
+"""Differential tests for the certified kernel path of kernel.py.
 
-nullspace and solve_linear screen rows mod p = 2^61 - 1, run the exact RREF
-on the rows they pick and certify the answer against every row.  The
-reference below is the full-RREF implementation they replaced, kept
-verbatim; every case must agree with it exactly, including the cases built
-so that the prime is unlucky and the certificate has to fail."""
+nullspace and solve_linear (the kernel of the augmented rows) screen rows
+mod p = 2^61 - 1, lift the null space mod p by rational reconstruction or
+else run the exact RREF on the rows they pick, and certify the answer
+against every row.  The reference below is the full-RREF implementation
+they replaced, kept verbatim; every case must agree with it exactly,
+including the cases built so that the prime is unlucky and the certificate
+has to fail."""
 
 import random
 import subprocess
@@ -17,6 +19,8 @@ import pytest
 
 from mouldkit import kernel
 from mouldkit.kernel import NoSolution, RatMatrix, nullspace, rank, solve_linear
+from mouldkit.liealg import krv_basis, solve_G
+from mouldkit.ncword import NCPoly, lie_bracket, lyndon_basis
 
 P = (1 << 61) - 1
 DENOMINATORS = (1, 1, 1, 2, 3, 7, P, 2 * P)
@@ -261,8 +265,7 @@ def test_tall_inconsistency_only_in_unpicked_rows(rref_calls):
     rhs = [sum((a * b for a, b in zip(row, x0)), Fraction(0)) for row in rows]
     m = RatMatrix(len(rows), cols, rows)
     assert solve_linear(m, rhs) == reference_solve_linear(m, rhs) == x0
-    assert rref_calls == [cols]
-    rref_calls.clear()
+    assert rref_calls == []
     rhs[-1] += P
     want = reference_solve_linear(m, rhs)
     assert isinstance(want, NoSolution)
@@ -271,19 +274,45 @@ def test_tall_inconsistency_only_in_unpicked_rows(rref_calls):
 
 
 def test_inconsistency_in_picked_rows_needs_no_fallback(rref_calls):
+    # The picked rows already have full rank, so the kernel is empty mod p
+    # and, trivially certified, over Q: no RREF runs.
     m = RatMatrix(3, 1, [[1], [1], [2]])
     assert isinstance(solve_linear(m, [Fraction(0), Fraction(1), Fraction(0)]), NoSolution)
-    assert rref_calls == [2]
+    assert rref_calls == []
 
 
-def test_certified_solution_from_unlucky_rows_is_the_full_one(rref_calls):
-    # The screen keeps only the first row, whose solution with free
-    # variables 0 also satisfies the second: certified without a fallback,
-    # and equal to the full RREF's answer.
+def test_unlucky_rows_for_a_free_column_reach_the_full_rref(rref_calls):
+    # The screen keeps only the first row.  Its solution with free
+    # variables 0 also satisfies the second, but the certificate checks the
+    # whole kernel of [A | b], and the vector of free column 1 is killed by
+    # the second row only mod p; so both the lift and the RREF of the
+    # picked row fail, and the full RREF gives the answer.
     m = RatMatrix(2, 2, [[1, 0], [1, P]])
     rhs = [Fraction(1), Fraction(1)]
     assert solve_linear(m, rhs) == reference_solve_linear(m, rhs) == [1, 0]
+    assert rref_calls == [1, 2]
+
+
+def test_solution_beyond_reconstruction_bound_falls_back_to_rref(rref_calls):
+    # x = 1/2^31 has a denominator of 2^31, so the lifted kernel of [A | b]
+    # does not reconstruct; the RREF of the picked row gives it and certifies.
+    m = RatMatrix(1, 1, [[2**31]])
+    rhs = [Fraction(1)]
+    assert solve_linear(m, rhs) == reference_solve_linear(m, rhs) == [Fraction(1, 2**31)]
     assert rref_calls == [1]
+
+
+def test_kv1_solve_runs_no_rref(rref_calls):
+    # solve_G reads G off the lifted kernel of the augmented system, both
+    # for a krv element (G exists) and for a Lie element outside krv
+    XY = ("x", "y")
+    x, y = NCPoly.letter(XY, "x"), NCPoly.letter(XY, "y")
+    (F,) = krv_basis(7).elements()
+    rref_calls.clear()
+    G = solve_G(F, 7)
+    assert (lie_bracket(x, G) + lie_bracket(y, F)).is_zero()
+    assert isinstance(solve_G(lyndon_basis(7, XY)[1], 7), NoSolution)
+    assert rref_calls == []
 
 
 # -- input validation survives python -O ------------------------------------

@@ -112,6 +112,60 @@ def test_solve_g_satisfies_kv1_when_it_succeeds(wf):
         assert (lie_bracket(X, G) + lie_bracket(Y, F)).is_zero()
 
 
+def test_solve_g_rejects_bad_input():
+    with pytest.raises(TypeError):
+        solve_G(P1.terms, 3)
+    with pytest.raises(ValueError):
+        solve_G(P1, 4)  # P1 has weight 3
+    with pytest.raises(ValueError):
+        solve_G(P1 + lie_bracket(X, Y), 3)  # mixed weights
+
+
+def test_kv2_check_rejects_bad_input():
+    with pytest.raises(TypeError):
+        kv2_check(P1, None, 3)
+    with pytest.raises(TypeError):
+        kv2_check("P1", -1 * P2, 3)
+    with pytest.raises(ValueError):
+        kv2_check(NCPoly.zero(XY), NCPoly.zero(XY), 1)
+    with pytest.raises(ValueError):
+        kv2_check(P1, -1 * P2, 4)
+    with pytest.raises(ValueError):
+        kv2_check(P1, lie_bracket(X, Y), 3)
+
+
+def test_kv_input_checks_survive_optimize():
+    # a wrong-weight F must not come back as NoSolution, which reads as a
+    # mathematical failure, once python -O strips asserts
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from mouldkit.liealg import kv2_check, solve_G\n"
+        "from mouldkit.ncword import NCPoly, lie_bracket\n"
+        "XY = ('x', 'y')\n"
+        "X, Y = NCPoly.letter(XY, 'x'), NCPoly.letter(XY, 'y')\n"
+        "P1 = lie_bracket(X, lie_bracket(X, Y))\n"
+        "checks = [(TypeError, lambda: solve_G(P1.terms, 3)),\n"
+        "          (ValueError, lambda: solve_G(P1, 4)),\n"
+        "          (TypeError, lambda: kv2_check(P1, None, 3)),\n"
+        "          (ValueError, lambda: kv2_check(P1, P1, 1)),\n"
+        "          (ValueError, lambda: kv2_check(P1, P1, 4))]\n"
+        "for exc, check in checks:\n"
+        "    try:\n"
+        "        check()\n"
+        "    except exc:\n"
+        "        print('rejected')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "rejected\n" * 5
+
+
 # --- is_sder -------------------------------------------------------------
 
 def test_sder_zero():
