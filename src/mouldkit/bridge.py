@@ -93,8 +93,11 @@ class CoeffTable:
             clean = {}
             for e, c in table.items():
                 e = tuple(e)
-                assert len(e) == r + 1, (r, e)
-                assert sum(e) == weight - r, (weight, r, e)
+                if len(e) != r + 1 or sum(e) != weight - r:
+                    raise ValueError(
+                        "depth %d exponents %r need length %d and sum %d"
+                        % (r, e, r + 1, weight - r)
+                    )
                 c = rat(c)
                 if c:
                     clean[e] = c
@@ -119,12 +122,15 @@ class CoeffTable:
 def vimo(h, r):
     """The commutative image of the depth-r part of h: the word
     x^{e_0} y ... y x^{e_r} contributes a_e z_0^{e_0} ... z_r^{e_r}."""
-    assert isinstance(h, NCPoly), h
-    assert isinstance(r, int) and r >= 0, r
+    if not isinstance(h, NCPoly):
+        raise TypeError("vimo needs an NCPoly, got %s" % type(h).__name__)
+    if not (isinstance(r, int) and r >= 0):
+        raise ValueError("vimo depth must be a nonnegative int, got %r" % (r,))
     if h.is_zero():
         return MultiPoly.zero(r + 1)
     w = homogeneous_weight(h)
-    assert 0 <= r <= w, (r, w)
+    if r > w:
+        raise ValueError("vimo depth %d exceeds the weight %d" % (r, w))
     table = CoeffTable.from_poly(h)
     return MultiPoly(r + 1, table.by_depth.get(r, {}))
 

@@ -26,33 +26,28 @@ from .liealg import (
     WEIGHT_BOUND,
     WeightBoundError,
     dmr_basis,
+    dmr_witness,
     fil2_dimension,
-    is_dmr,
     is_krv,
     krv_basis,
+    krv_witness,
     kv2_check,
-    primitivity_defect,
     solve_G,
-    star_regularize,
 )
-from .mould import Mould, mantar, mould_mul, pus_sum, push, swap, teru
+from .mould import Mould, mantar, mould_mul, push, pusnu_witness, swap, teru
 from .ncword import (
     NCPoly,
     NotHomogeneous,
-    coefficient,
     decompose_right,
     homogeneous_weight,
     is_anti_palindromic,
-    is_lie,
     lyndon_basis,
-    scale_letter,
 )
 from .symmetry import (
-    alternality_defect,
+    alternal_witness,
     alternil_up_to_constant,
     ari_alil_space,
     ari_sena_pusnu_space,
-    is_alternal,
     senary_defect,
     senary_eq41_holds,
     senary_holds,
@@ -192,6 +187,27 @@ def _check(name, ok, witness=None):
     return entry
 
 
+def _verdict(name, witness):
+    """The check entry for a predicate's first failure (None: it holds).
+    Rationals go through fmt_rat, polynomials through mp_to_json, and a
+    primitivity defect mapping becomes its first four sorted entries."""
+    if witness is None:
+        return _check(name, True)
+    out = {}
+    for key, v in witness.items():
+        if isinstance(v, Fraction):
+            v = fmt_rat(v)
+        elif isinstance(v, MultiPoly):
+            v = mp_to_json(v)
+        elif isinstance(v, dict):
+            key, v = key + "_entries", [
+                {"left": "".join(k[0]), "right": "".join(k[1]), "coeff": fmt_rat(c)}
+                for k, c in sorted(v.items())[:4]
+            ]
+        out[key] = v
+    return _check(name, False, out)
+
+
 def _assemble(echo, checks, conjectural=None, timings=None):
     report = {
         "command": echo,
@@ -324,20 +340,7 @@ def _property_weight(p, loc):
 def _check_mould_property(prop, mo, rmax):
     checks, conjectural = [], []
     if prop == "alternal":
-        ok = is_alternal(mo)
-        witness = None
-        if not ok:
-            if mo.component(0):
-                witness = {"m0": fmt_rat(mo.component(0))}
-            else:
-                witness = next(
-                    {"p": p, "q": q, "defect": mp_to_json(d)}
-                    for m in range(2, mo.depth + 1)
-                    for p in range(1, m)
-                    for q in [m - p]
-                    if p <= q and not (d := alternality_defect(mo, p, q)).is_zero()
-                )
-        checks.append(_check("alternal", ok, witness))
+        checks.append(_verdict("alternal", alternal_witness(mo)))
     elif prop == "alternil":
         got = alternil_up_to_constant(mo)
         if isinstance(got, NoSolution):
@@ -361,12 +364,7 @@ def _check_mould_property(prop, mo, rmax):
                 )
             )
     elif prop == "pusnu":
-        bad = next(
-            (m for m in range(1, mo.depth + 1) if not pus_sum(mo, m).is_zero()),
-            None,
-        )
-        witness = None if bad is None else {"depth": bad}
-        checks.append(_check("pus-neutral", bad is None, witness))
+        checks.append(_verdict("pus-neutral", pusnu_witness(mo)))
     else:
         assert prop == "senary", prop
         _senary_items(mo, "input", rmax, checks, conjectural)
@@ -398,36 +396,10 @@ def _check_poly_property(prop, p):
             else:
                 checks.append(_check("kv2 alpha = %s" % fmt_rat(alpha), True))
     elif prop == "krv":
-        ok = is_krv(p, w)
-        witness = None
-        if not ok:
-            if not is_lie(p):
-                witness = {"stage": "lie"}
-            elif isinstance(solve_G(p, w), NoSolution):
-                witness = {"stage": "kv1"}
-            else:
-                witness = {"stage": "kv2"}
-        checks.append(_check("krv membership", ok, witness))
+        checks.append(_verdict("krv membership", krv_witness(p, w)))
     else:
         assert prop == "dmr", prop
-        ok = is_dmr(p, w)
-        witness = None
-        if not ok:
-            c = coefficient(p, ("x", "y"))
-            if not is_lie(p):
-                witness = {"stage": "lie"}
-            elif c:
-                witness = {"stage": "c_xy", "value": fmt_rat(c)}
-            else:
-                defect = primitivity_defect(
-                    star_regularize(scale_letter(p, "y", -1))
-                )
-                entries = [
-                    {"left": "".join(k[0]), "right": "".join(k[1]), "coeff": fmt_rat(v)}
-                    for k, v in sorted(defect.items())[:4]
-                ]
-                witness = {"stage": "primitivity", "defect_entries": entries}
-        checks.append(_check("dmr membership", ok, witness))
+        checks.append(_verdict("dmr membership", dmr_witness(p, w)))
     return checks
 
 
@@ -624,11 +596,7 @@ def _suite_embedding(checks, wmax, basis_of):
             continue
         for i, f in enumerate(basis_of("dmr", w).elements()):
             # dmr vectors are stated in f-tilde coordinates; map back
-            F = ftilde_to_F(f)
-            G = solve_G(F, w)
-            ok = not isinstance(G, NoSolution)
-            if ok:
-                ok = not isinstance(kv2_check(F, G, w), NoSolution)
+            ok = is_krv(ftilde_to_F(f), w)
             checks.append(
                 _check("embedding dmr->krv [w=%d element %d]" % (w, i), ok, {"w": w})
             )

@@ -207,22 +207,36 @@ def kv2_check(F, G, w):
     return NoSolution("traces are not proportional")
 
 
-def is_krv(F, w):
-    """Lie, KV1 solvable, and KV2 proportional."""
-    assert isinstance(F, NCPoly), F
-    if F.is_zero():
-        return True
+def _lie_witness(p, w):
+    """The stages krv and dmr membership share: weight w, then Lie."""
     try:
-        if homogeneous_weight(F) != w:
-            return False
+        if homogeneous_weight(p) != w:
+            return {"stage": "weight"}
     except NotHomogeneous:
-        return False
-    if not is_lie(F):
-        return False
+        return {"stage": "weight"}
+    return None if is_lie(p) else {"stage": "lie"}
+
+
+def krv_witness(F, w):
+    """None when F lies in krv_w, else the first failed stage of weight w,
+    Lie, KV1, KV2 as {"stage": "weight"|"lie"|"kv1"|"kv2"}."""
+    _check_ncpoly(F, "krv_witness")
+    _check_kv_input("krv_witness", w)
+    if F.is_zero():
+        return None
+    if bad := _lie_witness(F, w):
+        return bad
     G = solve_G(F, w)
     if isinstance(G, NoSolution):
-        return False
-    return not isinstance(kv2_check(F, G, w), NoSolution)
+        return {"stage": "kv1"}
+    if isinstance(kv2_check(F, G, w), NoSolution):
+        return {"stage": "kv2"}
+    return None
+
+
+def is_krv(F, w):
+    """Lie, KV1 solvable, and KV2 proportional."""
+    return krv_witness(F, w) is None
 
 
 # ---------------------------------------------------------------------------
@@ -347,29 +361,31 @@ def primitivity_defect(p, memo=None):
     return out
 
 
-def is_dmr(f, w):
-    """Lie, c_{xy} = 0, and the star regularization of the y-flipped
-    element is primitive for delta_star.
+def dmr_witness(f, w):
+    """None when f lies in dmr_w, else the first failed stage of weight w,
+    Lie, c_{xy} = 0 ({"stage": "c_xy", "value": c_xy}) and primitivity of
+    the star regularization of the y-flipped element for delta_star
+    ({"stage": "primitivity", "defect": its primitivity_defect}).
 
     The flip y -> -y before regularizing makes the word-level conditions
     match the mould-side characterizations (the senary relation on the associated
     moulds and the alternility of their swaps); without it the two sides
     of the dictionary disagree by a sign on every odd depth."""
-    assert isinstance(f, NCPoly), f
-    assert w > 1, w
+    _check_ncpoly(f, "dmr_witness")
+    _check_kv_input("dmr_witness", w)
     if f.is_zero():
-        return True
-    try:
-        if homogeneous_weight(f) != w:
-            return False
-    except NotHomogeneous:
-        return False
-    if not is_lie(f):
-        return False
-    if coefficient(f, ("x", "y")) != 0:
-        return False
-    xi = star_regularize(scale_letter(f, "y", -1))
-    return not primitivity_defect(xi)
+        return None
+    if bad := _lie_witness(f, w):
+        return bad
+    if c := coefficient(f, ("x", "y")):
+        return {"stage": "c_xy", "value": c}
+    defect = primitivity_defect(star_regularize(scale_letter(f, "y", -1)))
+    return {"stage": "primitivity", "defect": defect} if defect else None
+
+
+def is_dmr(f, w):
+    """Lie, c_{xy} = 0, and the flipped star regularization primitive."""
+    return dmr_witness(f, w) is None
 
 
 # ---------------------------------------------------------------------------

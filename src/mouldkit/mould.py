@@ -118,6 +118,11 @@ class Mould:
         return "Mould(depth=%d%s)" % (self.depth, ", " + ", ".join(bits) if bits else "")
 
 
+def _check_mould(mo, name):
+    if not isinstance(mo, Mould):
+        raise TypeError("%s needs a Mould, got %s" % (name, type(mo).__name__))
+
+
 class ConstantMould:
     """A mould whose components are rational constants C_m (depth 0 value
     included as values[0])."""
@@ -355,7 +360,7 @@ def coll(mo, m, i):
 
 def pus_sum(mo, m):
     """The sum of M^m over the m cyclic rotations of its arguments."""
-    assert isinstance(mo, Mould), mo
+    _check_mould(mo, "pus_sum")
     comp = mo.component(m)
     total = MultiPoly.zero(m)
     for i in range(m):
@@ -364,8 +369,14 @@ def pus_sum(mo, m):
     return total
 
 
+def pusnu_witness(mo):
+    """None when M is pus-neutral, else {"depth": m} for the first m whose
+    pus_sum(M, m) is nonzero."""
+    _check_mould(mo, "pusnu_witness")
+    return next(({"depth": m} for m in range(1, mo.depth + 1)
+                 if not pus_sum(mo, m).is_zero()), None)
+
+
 def is_pus_neutral(mo):
-    """True iff pus_sum(M, m) vanishes for every 1 <= m <= depth (components
-    beyond the depth are zero, their sums too)."""
-    assert isinstance(mo, Mould), mo
-    return all(pus_sum(mo, m).is_zero() for m in range(1, mo.depth + 1))
+    """pus_sum(M, m) = 0 for 1 <= m <= depth (and beyond, trivially)."""
+    return pusnu_witness(mo) is None

@@ -24,7 +24,16 @@ from .kernel import (
     permute_vars,
     substitute,
 )
-from .mould import ConstantMould, Mould, coll, is_pus_neutral, pus_sum, swap, u_component
+from .mould import (
+    ConstantMould,
+    Mould,
+    _check_mould,
+    coll,
+    is_pus_neutral,
+    pus_sum,
+    swap,
+    u_component,
+)
 
 
 class AlternilityCertificate:
@@ -76,7 +85,7 @@ def _shuffle_perms(p, q):
 
 def alternality_defect(mo, p, q):
     """The (p,q) shuffle sum of the depth p+q component, as a polynomial."""
-    assert isinstance(mo, Mould), mo
+    _check_mould(mo, "alternality_defect")
     m = p + q
     comp = mo.component(m)
     total = MultiPoly.zero(m)
@@ -87,18 +96,27 @@ def alternality_defect(mo, p, q):
     return total
 
 
-def is_alternal(mo):
-    """M^0 = 0 and every (p,q) shuffle sum vanishes, p+q <= declared depth."""
-    assert isinstance(mo, Mould), mo
+def alternal_witness(mo):
+    """None when M is alternal, else {"m0": M^0} or {"p", "q", "defect"}
+    for the first nonzero (p,q) shuffle sum by p+q, then p.  The (q,p) sum
+    is the (p,q) sum with its variables relabelled, so only p <= q is
+    walked: the first failure over all splits has p <= q anyway."""
+    _check_mould(mo, "alternal_witness")
     if mo.components[0] != 0:
-        return False
+        return {"m0": mo.components[0]}
     for m in range(2, mo.depth + 1):
         if mo.components[m].is_zero():
             continue
-        for p in range(1, m):
-            if not alternality_defect(mo, p, m - p).is_zero():
-                return False
-    return True
+        for p in range(1, m // 2 + 1):
+            defect = alternality_defect(mo, p, m - p)
+            if not defect.is_zero():
+                return {"p": p, "q": m - p, "defect": defect}
+    return None
+
+
+def is_alternal(mo):
+    """M^0 = 0 and every (p,q) shuffle sum vanishes, p+q <= declared depth."""
+    return alternal_witness(mo) is None
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,13 @@ def test_vimo_inhomogeneous_raises():
         vimo(X + word("x", "y"), 1)
 
 
-def test_vimo_depth_beyond_weight_asserts():
-    with pytest.raises(AssertionError):
+def test_vimo_depth_beyond_weight_raises():
+    with pytest.raises(ValueError):
         vimo(word("x", "y"), 3)
+    with pytest.raises(ValueError):
+        vimo(word("x", "y"), -1)
+    with pytest.raises(TypeError):
+        vimo("xy", 1)
 
 
 def test_coeff_table():
@@ -99,8 +103,10 @@ def test_coeff_table():
     assert t.depths() == [0, 1]
     assert t.by_depth[0] == {(2,): Fraction(2)}
     assert t.by_depth[1] == {(1, 0): Fraction(1)}
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         CoeffTable(2, {1: {(1, 1): Fraction(1)}})  # exponent sum != w - r
+    with pytest.raises(ValueError):
+        CoeffTable(2, {1: {(1,): Fraction(1)}})  # r + 1 exponents needed
 
 
 # --- ma ---------------------------------------------------------------------

@@ -1,6 +1,8 @@
 # Wire-format round trips, parse errors with locations, exit codes, report
 # determinism, and one basis solve per (algebra, weight) in paper-suite.
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -430,3 +432,66 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("Traceback")
     assert captured.err.endswith("internal error: RuntimeError: solver exploded\n")
+
+
+# --- check reports, pinned byte for byte ------------------------------------
+#
+# One passing and one or more failing inputs per property.  The expected text
+# and --format json stdout and exit codes sit in data/check_reports.json; they
+# were recorded from the implementation that derived witnesses in the CLI, so
+# a witness returned by the predicate must serialise to the same bytes.
+
+NOT_ALTERNAL = {"2": [{"coeff": "1", "exponents": [1, 1]}]}
+# alternal in depths 2 and 3, first failure at (p, q) = (1, 3)
+NOT_ALTERNAL_DEPTH4 = dict(DMR3_MOULD, **{"4": [{"coeff": "1", "exponents": [1, 0, 0, 0]}]})
+L5 = lyndon_basis(5, XY)
+KV2_FAIL = -1 * L5[0] - L5[3] + L5[4]  # kv1 solvable, kv2 fails
+P1 = poly_to_json(lie_bracket(X, lie_bracket(X, Y)))
+FXY = poly_to_json(lie_bracket(X, Y))
+
+CHECK_CASES = {
+    "alternal-pass": ("alternal", DMR3_MOULD),
+    "alternal-fail": ("alternal", NOT_ALTERNAL),
+    "alternal-fail-depth4": ("alternal", NOT_ALTERNAL_DEPTH4),
+    "alternal-fail-m0": ("alternal", ALTERNIL_M0),
+    "alternil-pass": ("alternil", {"2": [{"coeff": "1", "exponents": [0, 0]}]}),
+    "alternil-fail-m0": ("alternil", ALTERNIL_M0),
+    "alternil-fail-splits": ("alternil", NOT_ALTERNAL),
+    "pusnu-pass": ("pusnu", {"2": [{"coeff": "1", "exponents": [1, 0]},
+                                   {"coeff": "-1", "exponents": [0, 1]}]}),
+    "pusnu-fail": ("pusnu", {"1": [{"coeff": "1", "exponents": [1]}]}),
+    "pusnu-fail-depth2": ("pusnu", NOT_ALTERNAL),
+    "senary-pass": ("senary", DMR3_MOULD),
+    "senary-fail": ("senary", {"2": [{"coeff": "1", "exponents": [1, 0]}]}),
+    "kv1-pass": ("kv1", P1),
+    "kv1-fail": ("kv1", FXY),
+    "kv2-pass": ("kv2", P1),
+    "kv2-fail-kv1": ("kv2", FXY),
+    "kv2-fail": ("kv2", poly_to_json(KV2_FAIL)),
+    "krv-pass": ("krv", P1),
+    "krv-fail-lie": ("krv", [{"coeff": "1", "word": "xy"}]),
+    "krv-fail-kv1": ("krv", FXY),
+    "krv-fail-kv2": ("krv", poly_to_json(KV2_FAIL)),
+    "dmr-pass": ("dmr", DMR3_POLY),
+    "dmr-fail-lie": ("dmr", [{"coeff": "1", "word": "xxy"}]),
+    "dmr-fail-c_xy": ("dmr", FXY),
+    "dmr-fail-primitivity": ("dmr", poly_to_json(L5[0])),
+}
+PINNED_REPORTS = Path(__file__).with_name("data") / "check_reports.json"
+
+
+def run_check(tmp_path, case, fmt):
+    """Exit code and stdout of `check` on the named case, in process."""
+    prop, obj = CHECK_CASES[case]
+    path = write(tmp_path, case + ".json", obj)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--format", fmt, "check", prop, "--input", path])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", sorted(CHECK_CASES))
+def test_check_report_is_pinned(tmp_path, case, fmt):
+    pinned = json.loads(PINNED_REPORTS.read_text())[case][fmt]
+    assert run_check(tmp_path, case, fmt) == (pinned["exit"], pinned["stdout"])
