@@ -1,26 +1,13 @@
 # The polynomial-to-mould dictionary: vimo coefficient tables, the
-# associated mould ma, the change of variables between F and f-tilde, and
-# the map nu from f-tilde to the tangential derivation it generates.
+# associated mould ma, and the change of variables between F and f-tilde.
 
 from fractions import Fraction
 
 from .kernel import MultiPoly, rat, substitute
-from .liealg import TangentialData
 from .mould import Mould
-from .ncword import (
-    NCPoly,
-    _weight_parts,
-    homogeneous_weight,
-    is_lie,
-    lie_bracket,
-    scale_letter,
-)
+from .ncword import NCPoly, _weight_parts, homogeneous_weight
 
 XY = ("x", "y")
-
-
-class NotLie(ValueError):
-    pass
 
 
 def ncsubstitute(p, images):
@@ -44,11 +31,6 @@ def ncsubstitute(p, images):
             term = term * images[s]
         out = out + term
     return out
-
-
-def flip_y(p):
-    """f(x, y) -> f(x, -y)."""
-    return scale_letter(p, "y", -1)
 
 
 def F_to_ftilde(F):
@@ -160,14 +142,3 @@ def ma(h):
         out = out + _ma_homogeneous(part, w)
     return out
 
-
-def nu(f):
-    """The tangential derivation generated by f: with F the preimage of f
-    under the variable change, the values are -[y,F] on x and [y,F] on y,
-    so x + y is killed by construction."""
-    assert isinstance(f, NCPoly), f
-    if not is_lie(f):
-        raise NotLie("nu needs a Lie element, got %r" % (f,))
-    F = ftilde_to_F(f)
-    val_y = lie_bracket(NCPoly.letter(XY, "y"), F)
-    return TangentialData(-1 * val_y, val_y)

@@ -1,6 +1,5 @@
 # Exact arithmetic foundation: arbitrary-precision rationals, sparse
-# multivariate polynomials, rational functions with factored linear
-# denominators, and exact linear algebra over Q.
+# multivariate polynomials and exact linear algebra over Q.
 #
 # Every linear system in the package is "polynomials as matrix columns":
 # column_rows turns a list of term dicts into the rows of that matrix.
@@ -16,7 +15,7 @@
 #   - lexicographic order on exponent tuples is the monomial order used by
 #     exact division (it is a well-order, so division always terminates)
 #
-# Linear algebra (nullspace, solve_linear, rank) is one kernel computation,
+# Linear algebra (nullspace, solve_linear) is one kernel computation,
 # _kernel, which starts from a screen.  Each row is scaled to integers, and a
 # streaming elimination mod the prime p = 2^61 - 1 picks at most cols rows
 # that are independent mod p, hence independent over Q, while it keeps the
@@ -320,7 +319,7 @@ def permute_vars(p, perm):
     """Rename variables: new variable perm[i] receives old variable i.
 
     perm is a permutation of range(p.nvars).  Cheaper than substitute for
-    the operators that only shuffle arguments (pus, mantar, rotations)."""
+    the operators that only shuffle arguments (mantar, rotations)."""
     assert sorted(perm) == list(range(p.nvars)), perm
     out = {}
     for e, c in p.terms.items():
@@ -377,175 +376,6 @@ def exact_div(p, q):
         }
         rem = _sp.sub_terms(rem, piece)
     return MultiPoly._raw(p.nvars, quot)
-
-
-def _canonical_linear_factor(coeffs):
-    """Scale a rational coefficient tuple to primitive integers with the
-    first nonzero entry positive.  Returns (key, scalar) with
-    key = coeffs / scalar."""
-    coeffs = [rat(c) for c in coeffs]
-    assert any(coeffs), "zero linear factor"
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]
-    g = 0
-    for k in ints:
-        g = gcd(g, abs(k))
-    ints = [k // g for k in ints]
-    lead = next(k for k in ints if k)
-    if lead < 0:
-        ints = [-k for k in ints]
-    key = tuple(ints)
-    # scalar such that original = scalar * key
-    for orig, k in zip(coeffs, key):
-        if k:
-            return key, orig / k
-    raise AssertionError(coeffs)
-
-
-def _factor_poly(key, nvars):
-    d = {}
-    for j, c in enumerate(key):
-        if c:
-            e = [0] * nvars
-            e[j] = 1
-            d[tuple(e)] = Fraction(c)
-    return MultiPoly._raw(nvars, d)
-
-
-class RatFun:
-    """Rational function num / prod(factors), factors being canonical
-    primitive linear forms with multiplicities.
-
-    Only linear denominators ever arise here (the contraction coefficients
-    of the quasi-shuffle), so the denominator is stored factored and
-    reduction is greedy exact division of the numerator by each factor.
-    Linear forms are prime in Q[x], which makes this form canonical."""
-
-    __slots__ = ("nvars", "num", "factors")
-
-    def __init__(self, num, factors=None):
-        assert isinstance(num, MultiPoly), num
-        self.nvars = num.nvars
-        fac = dict(factors) if factors else {}
-        for k, m in list(fac.items()):
-            assert m >= 0, (k, m)
-            if m == 0:
-                del fac[k]
-        if num.is_zero():
-            fac = {}
-        else:
-            for k in list(fac):
-                fp = _factor_poly(k, num.nvars)
-                while fac[k] > 0:
-                    try:
-                        num = exact_div(num, fp)
-                    except NotDivisible:
-                        break
-                    fac[k] -= 1
-                if fac[k] == 0:
-                    del fac[k]
-        self.num = num
-        self.factors = fac
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
-
-    @classmethod
-    def reciprocal_linear(cls, coeffs, nvars):
-        """1 / (linear form given by coeffs)."""
-        key, scalar = _canonical_linear_factor(coeffs)
-        num = MultiPoly.const(nvars, Fraction(1) / scalar)
-        return cls(num, {key: 1})
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def is_polynomial(self):
-        return not self.factors
-
-    def as_poly(self):
-        if self.factors:
-            raise PoleError("surviving denominator factors %r" % (self.factors,))
-        return self.num
-
-    def denominator_poly(self):
-        d = MultiPoly.const(self.nvars, 1)
-        for k, m in sorted(self.factors.items()):
-            fp = _factor_poly(k, self.nvars)
-            for _ in range(m):
-                d = d * fp
-        return d
-
-    def __add__(self, other):
-        if isinstance(other, MultiPoly):
-            other = RatFun(other)
-        assert isinstance(other, RatFun), other
-        assert self.nvars == other.nvars
-        keys = set(self.factors) | set(other.factors)
-        num_a, num_b = self.num, other.num
-        fac = {}
-        for k in keys:
-            ma = self.factors.get(k, 0)
-            mb = other.factors.get(k, 0)
-            m = max(ma, mb)
-            fac[k] = m
-            fp = _factor_poly(k, self.nvars)
-            for _ in range(m - ma):
-                num_a = num_a * fp
-            for _ in range(m - mb):
-                num_b = num_b * fp
-        return RatFun(num_a + num_b, fac)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RatFun._make(-self.num, dict(self.factors))
-
-    @classmethod
-    def _make(cls, num, factors):
-        # already reduced by construction
-        r = object.__new__(cls)
-        r.nvars = num.nvars
-        r.num = num
-        r.factors = factors if not num.is_zero() else {}
-        return r
-
-    def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            other = RatFun(other)
-        if isinstance(other, RatFun):
-            assert self.nvars == other.nvars
-            fac = dict(self.factors)
-            for k, m in other.factors.items():
-                fac[k] = fac.get(k, 0) + m
-            return RatFun(self.num * other.num, fac)
-        return RatFun(self.num * rat(other), dict(self.factors))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __eq__(self, other):
-        if isinstance(other, MultiPoly):
-            other = RatFun(other)
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        return (
-            self.nvars == other.nvars
-            and self.num == other.num
-            and self.factors == other.factors
-        )
-
-    def __hash__(self):
-        return hash((self.num, frozenset(self.factors.items())))
-
-    def __repr__(self):
-        if not self.factors:
-            return repr(self.num)
-        return "(%r) / (%r)" % (self.num, self.denominator_poly())
 
 
 class RatMatrix:
@@ -797,6 +627,3 @@ def solve_linear(mat, rhs):
     v = basis[-1]
     return [-c / v[n] for c in v[:n]]
 
-
-def rank(mat):
-    return mat.cols - len(nullspace(mat))

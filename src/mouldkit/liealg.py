@@ -1,7 +1,7 @@
-# Lie-algebra membership machinery: the tangential/special derivation side
-# (KV1 linear solve, KV2 trace condition), the double shuffle side (the
-# y-alphabet projection, star regularization, the coproduct on A_Y and its
-# primitivity test), and the graded basis solvers over Lyndon coordinates.
+# Lie-algebra membership machinery: the Kashiwara-Vergne side (KV1 linear
+# solve, KV2 trace condition), the double shuffle side (the y-alphabet
+# projection, star regularization, the coproduct on A_Y and its primitivity
+# test), and the graded basis solvers over Lyndon coordinates.
 
 from fractions import Fraction
 from math import lcm
@@ -18,7 +18,6 @@ from .kernel import (
 from .ncword import (
     NCPoly,
     NotHomogeneous,
-    _weight_parts,
     coefficient,
     decompose_right,
     homogeneous_weight,
@@ -43,36 +42,6 @@ class WeightTooSmall(ValueError):
 
 class WeightBoundError(ValueError):
     pass
-
-
-class TangentialData:
-    """A derivation of the free Lie algebra given by its values on the two
-    generators.  Tangentiality and speciality are predicates on this data,
-    not invariants of the container."""
-
-    __slots__ = ("value_on_x", "value_on_y")
-
-    def __init__(self, value_on_x, value_on_y):
-        assert isinstance(value_on_x, NCPoly), value_on_x
-        assert isinstance(value_on_y, NCPoly), value_on_y
-        self.value_on_x = value_on_x
-        self.value_on_y = value_on_y
-
-    def __eq__(self, other):
-        if not isinstance(other, TangentialData):
-            return NotImplemented
-        return (
-            self.value_on_x == other.value_on_x
-            and self.value_on_y == other.value_on_y
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "TangentialData(x -> %r, y -> %r)" % (
-            self.value_on_x,
-            self.value_on_y,
-        )
 
 
 class SubspaceBasis:
@@ -162,26 +131,6 @@ def solve_G(F, w):
         if c:
             G = G + c * b
     return G
-
-
-def is_sder(d):
-    """Tangential (each value is a bracket of the matching generator with
-    some Lie element) and killing x + y."""
-    assert isinstance(d, TangentialData), d
-    if not (d.value_on_x + d.value_on_y).is_zero():
-        return False
-    for sym, val in (("x", d.value_on_x), ("y", d.value_on_y)):
-        if val.is_zero():
-            continue
-        gen = NCPoly.letter(XY, sym)
-        for k, part in _weight_parts(val).items():
-            # [gen, L_{k-1}] is the only source of weight-k tangential values
-            if k < 2:
-                return False
-            columns = [lie_bracket(gen, b) for b in lyndon_basis(k - 1, XY)]
-            if isinstance(_solve_in_span(columns, part), NoSolution):
-                return False
-    return True
 
 
 def kv2_check(F, G, w):

@@ -1,13 +1,12 @@
 # Moulds: finite sequences (M^0, M^1(x1), ..., M^D(x1..xD)) with M^m a
 # polynomial in m commuting variables, together with the elementary operators:
-# the deconcatenation product, swap and its genuine inverse unswap, pus, push,
-# mantar, teru, the parallel translation map, the u-map, collision maps, neg,
-# and pus-neutrality.
+# the deconcatenation product, swap, push, mantar, neg, teru, the components
+# of the u-map, collision maps, and pus-neutrality.
 #
-# Depth bookkeeping: swap/unswap/pus/push/mantar/neg keep the declared depth;
-# teru, translate_t and u_map return depth D+1 because their top component is
-# genuinely nonzero for generic depth-D input (truncating there would silently
-# weaken the senary checks at r = D+1).
+# Depth bookkeeping: swap/push/mantar/neg keep the declared depth; teru
+# returns depth D+1 because its top component is genuinely nonzero for
+# generic depth-D input (truncating there would silently weaken the senary
+# checks at r = D+1).
 
 from fractions import Fraction
 
@@ -160,7 +159,8 @@ class ConstantMould:
 
 def mould_mul(a, b):
     """(A x B)^m = sum_i A^i(x_1..x_i) B^{m-i}(x_{i+1}..x_m)."""
-    assert isinstance(a, Mould) and isinstance(b, Mould), (a, b)
+    _check_mould(a, "mould_mul")
+    _check_mould(b, "mould_mul")
     depth = a.depth + b.depth
     comps = [a.components[0] * b.components[0]]
     for m in range(1, depth + 1):
@@ -189,7 +189,7 @@ def _unit_form(m, j, scale=1):
 
 def swap(mo):
     """swap(M)^m(v_1..v_m) = M^m(v_m, v_{m-1}-v_m, ..., v_1-v_2)."""
-    assert isinstance(mo, Mould), mo
+    _check_mould(mo, "swap")
     comps = [mo.components[0]]
     for m in range(1, mo.depth + 1):
         forms = []
@@ -205,36 +205,9 @@ def swap(mo):
     return Mould(comps)
 
 
-def unswap(mo):
-    """Two-sided inverse of swap:
-    unswap(N)^m(u_1..u_m) = N^m(u_1+...+u_m, u_1+...+u_{m-1}, ..., u_1)."""
-    assert isinstance(mo, Mould), mo
-    comps = [mo.components[0]]
-    for m in range(1, mo.depth + 1):
-        forms = []
-        for k in range(1, m + 1):  # old slot k gets u_1+...+u_{m-k+1}
-            f = [Fraction(0)] * m
-            for j in range(m - k + 1):
-                f[j] = Fraction(1)
-            forms.append(tuple(f))
-        comps.append(substitute(mo.components[m], forms, m))
-    return Mould(comps)
-
-
-def pus(mo):
-    """pus(M)^m(u_1..u_m) = M^m(u_m, u_1, ..., u_{m-1})."""
-    assert isinstance(mo, Mould), mo
-    comps = [mo.components[0]]
-    for m in range(1, mo.depth + 1):
-        # old slot k evaluated at u_m (k=1) or u_{k-1} (k>=2)
-        perm = [(j - 1) % m for j in range(m)]
-        comps.append(permute_vars(mo.components[m], perm))
-    return Mould(comps)
-
-
 def push(mo):
     """push(M)^m(u_1..u_m) = M^m(-u_1-...-u_m, u_1, ..., u_{m-1})."""
-    assert isinstance(mo, Mould), mo
+    _check_mould(mo, "push")
     comps = [mo.components[0]]
     for m in range(1, mo.depth + 1):
         forms = [tuple(Fraction(-1) for _ in range(m))]
@@ -246,7 +219,7 @@ def push(mo):
 
 def mantar(mo):
     """mantar(M)^m(u_1..u_m) = (-1)^(m-1) M^m(u_m, ..., u_1)."""
-    assert isinstance(mo, Mould), mo
+    _check_mould(mo, "mantar")
     comps = [mo.components[0]]
     for m in range(1, mo.depth + 1):
         perm = [m - 1 - j for j in range(m)]
@@ -259,7 +232,7 @@ def mantar(mo):
 
 def neg(mo):
     """neg(M)^m(u) = M^m(-u_1, ..., -u_m)."""
-    assert isinstance(mo, Mould), mo
+    _check_mould(mo, "neg")
     comps = [mo.components[0]]
     for m in range(1, mo.depth + 1):
         forms = [_unit_form(m, j, -1) for j in range(m)]
@@ -268,13 +241,13 @@ def neg(mo):
 
 
 # ---------------------------------------------------------------------------
-# teru, translation, u-map, collisions (depth grows to D+1)
+# teru, the u-map, collisions (depth grows to D+1)
 
 def teru(mo):
     """teru(M)^m = M^m + (1/u_m){M^{m-1}(u_1,..,u_{m-2},u_{m-1}+u_m)
     - M^{m-1}(u_1,..,u_{m-1})}; teru(M)^1 = M^1 (the corrections collapse
     to M^0 - M^0)."""
-    assert isinstance(mo, Mould), mo
+    _check_mould(mo, "teru")
     comps = [mo.components[0]]
     if mo.depth >= 1:
         comps.append(mo.components[1])
@@ -293,29 +266,12 @@ def teru(mo):
     return Mould(comps)
 
 
-def translate_t(mo):
-    """Parallel translation: identity at m = 0, 1;
-    t(M)^m(x_1..x_m) = M^{m-1}(x_2-x_1, ..., x_m-x_1) for m >= 2."""
-    assert isinstance(mo, Mould), mo
-    comps = [mo.components[0]]
-    if mo.depth >= 0:
-        comps.append(mo.component(1))
-    for m in range(2, mo.depth + 2):
-        prev = mo.component(m - 1)
-        forms = []
-        for j in range(m - 1):  # old slot j+1 gets x_{j+2} - x_1
-            f = [Fraction(0)] * m
-            f[j + 1] = Fraction(1)
-            f[0] = Fraction(-1)
-            forms.append(tuple(f))
-        comps.append(substitute(prev, forms, m))
-    return Mould(comps)
-
-
 def u_component(mo, m):
-    """u(M)^m for m >= 1: M^1 at m = 1, else, with one substitution,
+    """u(M)^m for m >= 1, where u = t o swap and the parallel translation
+    t is t(M)^m(x_1..x_m) = M^{m-1}(x_2-x_1, ..., x_m-x_1): M^1 at m = 1,
+    else, with one substitution,
     u(M)^m(x_1..x_m) = M^{m-1}(x_m-x_1, x_{m-1}-x_m, ..., x_2-x_3)."""
-    assert isinstance(mo, Mould), mo
+    _check_mould(mo, "u_component")
     if m == 1:
         return mo.component(1)
     forms = []
@@ -326,20 +282,12 @@ def u_component(mo, m):
     return substitute(mo.component(m - 1), forms, m)
 
 
-def u_map(mo):
-    """u = t o swap, built component by component with u_component."""
-    assert isinstance(mo, Mould), mo
-    comps = [mo.components[0]]
-    comps += [u_component(mo, m) for m in range(1, mo.depth + 2)]
-    return Mould(comps)
-
-
 def coll(mo, m, i):
     """Collision map: replace component m by the divided difference
     (1/(x_i - x_{i+1})) { M^{m-1}(args without x_{i+1})
                         - M^{m-1}(args without x_i) };
     every other component is unchanged."""
-    assert isinstance(mo, Mould), mo
+    _check_mould(mo, "coll")
     if not (2 <= m and 1 <= i <= m - 1):
         raise SlotError("coll slot (m=%s, i=%s) out of range" % (m, i))
     prev = mo.component(m - 1)

@@ -1,7 +1,6 @@
 # Noncommutative words and polynomials over a declared alphabet, free Lie
 # machinery (Dynkin-Specht-Wever test, Lyndon bases), the backwards-writing
-# operator, first/last letter decompositions, cyclic words, and the shuffle /
-# quasi-shuffle coefficient families on variable words.
+# operator, the last-letter decomposition, and cyclic words.
 #
 # Words are plain tuples of alphabet symbols.  An NCPoly is a dict from word
 # to nonzero Fraction plus the alphabet it lives over; the alphabet order is
@@ -12,11 +11,10 @@
 # weight n.  Weight of any other symbol is 1, so on ("x", "y") weight equals
 # word length.
 
-import itertools
 from fractions import Fraction
 
 from . import _speed as _sp
-from .kernel import MultiPoly, RatFun, rat
+from .kernel import rat
 
 
 class AlphabetError(ValueError):
@@ -269,35 +267,8 @@ def lyndon_basis(w, alphabet):
     return [lyndon_bracketing(word, alphabet) for word in lyndon_words(w, alphabet)]
 
 
-def _mobius(n):
-    if n == 1:
-        return 1
-    m, out = n, 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if m > 1:
-        out = -out
-    return out
-
-
-def witt_dimension(w, k):
-    """dim of the weight-w part of the free Lie algebra on k letters:
-    (1/w) * sum_{d | w} mu(d) k^(w/d)."""
-    assert w >= 1, w
-    total = sum(_mobius(d) * k ** (w // d) for d in range(1, w + 1) if w % d == 0)
-    q, r = divmod(total, w)
-    assert r == 0, (w, k, total)
-    return q
-
-
 # ---------------------------------------------------------------------------
-# anti, palindromes, decompositions, trace.
+# anti, palindromes, the last-letter decomposition, trace.
 
 def anti(p):
     """Backwards-writing operator: reverse every word."""
@@ -340,17 +311,6 @@ def decompose_right(p):
     parts = {a: {} for a in p.alphabet}
     for w, c in p.terms.items():
         parts[w[-1]][w[:-1]] = c
-    return tuple(NCPoly._raw(p.alphabet, parts[a]) for a in p.alphabet)
-
-
-def decompose_left(p):
-    """Split by first letter: p = sum_a a * p^a, tuple in alphabet order."""
-    assert isinstance(p, NCPoly), p
-    if () in p.terms:
-        raise HasConstantTerm("constant term %s present" % p.terms[()])
-    parts = {a: {} for a in p.alphabet}
-    for w, c in p.terms.items():
-        parts[w[0]][w[1:]] = c
     return tuple(NCPoly._raw(p.alphabet, parts[a]) for a in p.alphabet)
 
 
@@ -427,134 +387,3 @@ def trace(p):
     """Natural projection onto cyclic words (rotations identified)."""
     assert isinstance(p, NCPoly), p
     return CyclicCombination(p.alphabet, dict(p.terms))
-
-
-# ---------------------------------------------------------------------------
-# Variable words: words whose letters are formal integer combinations of the
-# ambient commutative variables x_1..x_n.  A letter is stored as the tuple of
-# its integer coefficients; no letter is identified with a scalar multiple of
-# another one.
-
-class VarWord:
-    __slots__ = ("arity", "letters")
-
-    def __init__(self, arity, letters):
-        letters = tuple(tuple(int(c) for c in l) for l in letters)
-        for l in letters:
-            assert len(l) == arity, (arity, l)
-        self.arity = arity
-        self.letters = letters
-
-    @classmethod
-    def of_vars(cls, arity, indices):
-        """Word whose j-th letter is the plain variable x_{indices[j]}
-        (1-based indices)."""
-        letters = []
-        for i in indices:
-            assert 1 <= i <= arity, (i, arity)
-            letters.append(tuple(1 if k == i - 1 else 0 for k in range(arity)))
-        return cls(arity, letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        if not isinstance(other, VarWord):
-            return NotImplemented
-        return self.arity == other.arity and self.letters == other.letters
-
-    def __hash__(self):
-        return hash((self.arity, self.letters))
-
-    def __repr__(self):
-        def fmt(l):
-            bits = []
-            for i, c in enumerate(l):
-                if c == 0:
-                    continue
-                if c == 1:
-                    bits.append("x%d" % (i + 1))
-                elif c == -1:
-                    bits.append("-x%d" % (i + 1))
-                else:
-                    bits.append("%d*x%d" % (c, i + 1))
-            return "+".join(bits).replace("+-", "-") if bits else "0"
-        return "(" + ",".join(fmt(l) for l in self.letters) + ")"
-
-
-def shuffle(a, b):
-    """Plain shuffle of two variable words: dict VarWord -> Fraction.
-    Sum of coefficients is binomial(l(a)+l(b), l(a))."""
-    assert isinstance(a, VarWord) and isinstance(b, VarWord), (a, b)
-    assert a.arity == b.arity, (a.arity, b.arity)
-    p, q = len(a), len(b)
-    out = {}
-    for positions in itertools.combinations(range(p + q), p):
-        pos = set(positions)
-        ia = ib = 0
-        letters = []
-        for slot in range(p + q):
-            if slot in pos:
-                letters.append(a.letters[ia])
-                ia += 1
-            else:
-                letters.append(b.letters[ib])
-                ib += 1
-        w = VarWord(a.arity, letters)
-        out[w] = out.get(w, Fraction(0)) + 1
-    return out
-
-
-def _ratfun_const(n, c):
-    return RatFun.from_poly(MultiPoly.const(n, c))
-
-
-def quasi_shuffle_star(a, b):
-    """Quasi-shuffle with contractions: dict VarWord -> RatFun, the RatFun
-    living in the y-variables that mirror the x-variables.
-
-      u om *sh* v et = u(om *sh* v et) + v(u om *sh* et)
-                       + f(u-v) { u(om *sh* et) - v(om *sh* et) }
-
-    with f(0) := 0 and f(sum n_j x_ij) = 1/(sum n_j y_ij).  Letters never
-    merge; only the coefficient field grows."""
-    assert isinstance(a, VarWord) and isinstance(b, VarWord), (a, b)
-    assert a.arity == b.arity, (a.arity, b.arity)
-    n = a.arity
-    one = _ratfun_const(n, 1)
-    memo = {}
-
-    def prepend(letter, table):
-        return {VarWord(n, (letter,) + w.letters): c for w, c in table.items()}
-
-    def add_into(acc, table, factor):
-        for w, c in table.items():
-            cur = acc.get(w)
-            val = factor * c
-            acc[w] = val if cur is None else cur + val
-        return acc
-
-    def rec(la, lb):
-        if not la:
-            return {VarWord(n, lb): one}
-        if not lb:
-            return {VarWord(n, la): one}
-        key = (la, lb)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        u, v = la[0], lb[0]
-        out = {}
-        add_into(out, prepend(u, rec(la[1:], lb)), one)
-        add_into(out, prepend(v, rec(la, lb[1:])), one)
-        diff = tuple(cu - cv for cu, cv in zip(u, v))
-        if any(diff):
-            f = RatFun.reciprocal_linear(diff, n)
-            inner = rec(la[1:], lb[1:])
-            add_into(out, prepend(u, inner), f)
-            add_into(out, prepend(v, inner), -1 * f)
-        out = {w: c for w, c in out.items() if not c.is_zero()}
-        memo[key] = out
-        return out
-
-    return rec(a.letters, b.letters)

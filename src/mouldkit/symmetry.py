@@ -37,29 +37,15 @@ from .mould import (
 
 
 class AlternilityCertificate:
-    """Witness that N + C is alternil for the recorded constant mould C.
+    """Witness that N + C is alternil for the recorded constant mould C."""
 
-    residual_defects is a list of (p, q, defect polynomial); the certificate
-    is valid exactly when that list is empty (the solver returns NoSolution
-    instead of an invalid certificate, but the field keeps failed-solve
-    diagnostics uniform for callers that want them)."""
+    __slots__ = ("constant",)
 
-    __slots__ = ("constant", "residual_defects")
-
-    def __init__(self, constant, residual_defects=()):
-        assert isinstance(constant, ConstantMould), constant
+    def __init__(self, constant):
         self.constant = constant
-        self.residual_defects = list(residual_defects)
-
-    @property
-    def valid(self):
-        return not self.residual_defects
 
     def __repr__(self):
-        return "AlternilityCertificate(constant=%r, residual=%d)" % (
-            self.constant,
-            len(self.residual_defects),
-        )
+        return "AlternilityCertificate(constant=%r)" % (self.constant,)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +108,10 @@ def is_alternal(mo):
 # ---------------------------------------------------------------------------
 # alternility
 #
-# The (p,q) alternility sum with the rational-function coefficients
-# specialized at y_i = x_i is computed by a divided-difference recursion:
+# The (p,q) alternility sum is Ecalle's quasi-shuffle of x_1..x_p with
+# x_{p+1}..x_{p+q}, contraction coefficients 1/(y_u - y_v), evaluated on N.
+# With the coefficients specialized at y_i = x_i it is computed by a
+# divided-difference recursion:
 # interleave the two blocks letter by letter, and each contraction of a pair
 # (x_u, x_v) contributes the divided difference of the two single-letter
 # continuations.  Both continuations agree on x_u = x_v, so the division is
@@ -152,7 +140,7 @@ def _alternility_eval(mo, omega, eta, rho, nvars):
 
 def alternility_defect(mo, p, q):
     """The (p,q) quasi-shuffle sum of N, poles collected, as a polynomial."""
-    assert isinstance(mo, Mould), mo
+    _check_mould(mo, "alternility_defect")
     n = p + q
     return _alternility_eval(
         mo, tuple(range(p)), tuple(range(p, n)), (), n
@@ -168,7 +156,7 @@ def alternil_up_to_constant(mo):
     must agree across the splits of m.  Returns an AlternilityCertificate or
     NoSolution carrying the irreducible (p, q, defect) witnesses, or the
     reason alone when M^0 is nonzero."""
-    assert isinstance(mo, Mould), mo
+    _check_mould(mo, "alternil_up_to_constant")
     if mo.components[0] != 0:
         return NoSolution("alternility needs a vanishing constant term")
     consts = [Fraction(0), Fraction(0)]
@@ -188,7 +176,7 @@ def alternil_up_to_constant(mo):
             "alternility defects not absorbable by a constant mould",
             defects=residual,
         )
-    return AlternilityCertificate(ConstantMould(consts), [])
+    return AlternilityCertificate(ConstantMould(consts))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +194,7 @@ def alternil_up_to_constant(mo):
 # teru = push o mantar o teru o mantar (criterion-level pin) also forces.
 
 def senary_lhs(mo, r):
+    _check_mould(mo, "senary_lhs")
     assert r >= 1, r
     if r == 1:
         return mo.component(1)
@@ -226,6 +215,7 @@ def senary_lhs(mo, r):
 
 
 def senary_rhs(mo, r):
+    _check_mould(mo, "senary_rhs")
     assert r >= 1, r
     if r == 1:
         return substitute(mo.component(1), [(Fraction(-1),)], 1)
@@ -259,7 +249,7 @@ def senary_defect(mo, r):
 
 
 def senary_holds(mo, r):
-    assert isinstance(mo, Mould), mo
+    _check_mould(mo, "senary_holds")
     assert r >= 1, r
     return senary_defect(mo, r).is_zero()
 
@@ -275,7 +265,7 @@ def senary_eq41_holds(mo, r):
     identity u(M)^2(x_1,x_2) = u(M)^2(x_2,x_1).
 
     Only u(M)^{r+1} and, for the collision maps, u(M)^r are built."""
-    assert isinstance(mo, Mould), mo
+    _check_mould(mo, "senary_eq41_holds")
     assert r >= 1, r
     n = r + 1
     comp = u_component(mo, n)
@@ -295,7 +285,7 @@ def in_ari_sena_pusnu(mo):
     """Senary for all r (truncated at depth D + 1: the depth-(D+1) instance
     still has content through the divided differences of M^D, every higher
     one vanishes identically) plus pus-neutrality of swap(M)."""
-    assert isinstance(mo, Mould), mo
+    _check_mould(mo, "in_ari_sena_pusnu")
     if mo.components[0] != 0:
         return False
     for r in range(1, mo.depth + 2):
@@ -306,7 +296,7 @@ def in_ari_sena_pusnu(mo):
 
 def in_ari_al_star_il(mo):
     """Alternal, and swap(M) alternil up to a constant-valued mould."""
-    assert isinstance(mo, Mould), mo
+    _check_mould(mo, "in_ari_al_star_il")
     if not is_alternal(mo):
         return False
     cert = alternil_up_to_constant(swap(mo))

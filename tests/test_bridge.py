@@ -1,5 +1,5 @@
 # The polynomial-to-mould dictionary: vimo exponent reading, ma prefix
-# sums, the F <-> f-tilde change of variables, nu, and the invariants the
+# sums, the F <-> f-tilde change of variables, and the invariants the
 # rest of the pipeline leans on (homomorphism, translation invariance,
 # parity, depth compatibility).
 
@@ -12,16 +12,13 @@ from hypothesis import strategies as st
 from mouldkit.bridge import (
     CoeffTable,
     F_to_ftilde,
-    NotLie,
-    flip_y,
     ftilde_to_F,
     ma,
     ncsubstitute,
-    nu,
     vimo,
 )
 from mouldkit.kernel import MultiPoly, embed_vars, substitute
-from mouldkit.liealg import dmr_basis, is_sder
+from mouldkit.liealg import dmr_basis
 from mouldkit.mould import Mould, mould_mul
 from mouldkit.ncword import (
     NCPoly,
@@ -297,7 +294,7 @@ def test_vimo_parity(wf):
         assert p == sign * _negated(p), (w, r)
 
 
-# --- variable changes and nu --------------------------------------------------
+# --- variable changes -------------------------------------------------------
 
 def test_f_to_ftilde_pins():
     assert F_to_ftilde(Y) == -1 * Y
@@ -309,7 +306,8 @@ def test_ncsubstitute_identity_and_flip():
     images = {"x": X, "y": Y}
     p = 3 * word("x", "y") - word("y") + NCPoly.one(XY)
     assert ncsubstitute(p, images) == p
-    assert flip_y(p) == -3 * word("x", "y") + word("y") + NCPoly.one(XY)
+    flipped = ncsubstitute(p, {"x": X, "y": -1 * Y})
+    assert flipped == -3 * word("x", "y") + word("y") + NCPoly.one(XY)
 
 
 @settings(deadline=None, max_examples=40)
@@ -317,24 +315,3 @@ def test_ncsubstitute_identity_and_flip():
 def test_variable_change_round_trip(p):
     assert ftilde_to_F(F_to_ftilde(p)) == p
     assert F_to_ftilde(ftilde_to_F(p)) == p
-
-
-def test_nu_pins():
-    d = nu(lie_bracket(X, Y))
-    assert d.value_on_y == P2
-    assert d.value_on_x == -1 * P2
-    assert (d.value_on_x + d.value_on_y).is_zero()
-    with pytest.raises(NotLie):
-        nu(word("x", "y"))
-
-
-def test_nu_dmr3_lands_in_sder():
-    (e,) = dmr_basis(3).elements()
-    assert is_sder(nu(e))
-
-
-@settings(deadline=None, max_examples=20)
-@given(st.integers(2, 5).flatmap(lie_elements))
-def test_nu_kills_x_plus_y(f):
-    d = nu(f)
-    assert (d.value_on_x + d.value_on_y).is_zero()

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from mouldkit import kernel
-from mouldkit.kernel import NoSolution, RatMatrix, nullspace, rank, solve_linear
+from mouldkit.kernel import NoSolution, RatMatrix, nullspace, solve_linear
 from mouldkit.liealg import krv_basis, solve_G
 from mouldkit.ncword import NCPoly, lie_bracket, lyndon_basis
 
@@ -162,7 +162,6 @@ def test_nullspace_matches_full_rref(seed):
         m = random_matrix(rng)
         want = reference_nullspace(m)
         assert nullspace(m) == want
-        assert rank(m) == m.cols - len(want)
 
 
 @pytest.mark.parametrize("seed", range(40))

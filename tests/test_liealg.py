@@ -1,6 +1,6 @@
-# Pins and properties for the Lie-algebra membership layer: KV1/KV2,
-# special derivations, the y-alphabet regularization, the coproduct
-# primitivity test, and the graded dmr/krv basis solvers.
+# Pins and properties for the Lie-algebra membership layer: KV1/KV2, the
+# y-alphabet regularization, the coproduct primitivity test, and the graded
+# dmr/krv basis solvers.
 
 import hashlib
 import json
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from mouldkit.kernel import NoSolution
 from mouldkit.liealg import (
     SubspaceBasis,
-    TangentialData,
     WeightBoundError,
     WeightTooSmall,
     delta_star,
@@ -24,7 +23,6 @@ from mouldkit.liealg import (
     fil2_dimension,
     is_dmr,
     is_krv,
-    is_sder,
     kv2_check,
     krv_basis,
     pi_Y,
@@ -164,43 +162,6 @@ def test_kv_input_checks_survive_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "rejected\n" * 5
-
-
-# --- is_sder -------------------------------------------------------------
-
-def test_sder_zero():
-    assert is_sder(TangentialData(NCPoly.zero(XY), NCPoly.zero(XY)))
-
-
-def test_sder_sum_nonzero():
-    assert not is_sder(TangentialData(NCPoly.zero(XY), P2))
-
-
-def test_sder_kv1_pair():
-    G = solve_G(P1, 3)
-    d = TangentialData(lie_bracket(X, G), lie_bracket(Y, P1))
-    assert is_sder(d)
-
-
-def test_sder_sum_zero_but_not_tangential():
-    p = word("x", "y") + word("y", "x")
-    assert not is_sder(TangentialData(p, -1 * p))
-
-
-def test_sder_mixed_weight():
-    # a weight-2 special derivation plus a weight-3 one is still special
-    G = solve_G(P1, 3)
-    vx = lie_bracket(X, Y) + lie_bracket(X, G)
-    vy = lie_bracket(Y, X) + lie_bracket(Y, P1)
-    assert is_sder(TangentialData(vx, vy))
-    # but replacing the weight-3 y-value by something outside [y, L_2] fails
-    bad = TangentialData(lie_bracket(X, Y) + P1, lie_bracket(Y, X) - P1)
-    assert not is_sder(bad)
-
-
-def test_tangential_data_eq():
-    assert TangentialData(X, Y) == TangentialData(X, Y)
-    assert TangentialData(X, Y) != TangentialData(Y, X)
 
 
 # --- kv2_check -----------------------------------------------------------

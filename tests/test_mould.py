@@ -22,15 +22,11 @@ from mouldkit.mould import (
     mantar,
     mould_mul,
     neg,
-    pus,
     pus_sum,
     push,
     swap,
     teru,
-    translate_t,
     u_component,
-    u_map,
-    unswap,
 )
 
 
@@ -214,6 +210,17 @@ def test_mul_respects_filtration(a, b, fa, fb):
 # -- swap / unswap -----------------------------------------------------------
 
 
+def unswap(mo):
+    """Two-sided inverse of swap:
+    unswap(N)^m(u_1..u_m) = N^m(u_1+...+u_m, u_1+...+u_{m-1}, ..., u_1)."""
+    comps = [mo.components[0]]
+    for m in range(1, mo.depth + 1):
+        # old slot k gets u_1+...+u_{m-k+1}
+        forms = [(1,) * (m - k + 1) + (0,) * (k - 1) for k in range(1, m + 1)]
+        comps.append(substitute(mo.components[m], forms, m))
+    return Mould(comps)
+
+
 def test_swap_depth2_pin():
     m = Mo(2, {2: {(1, 1): 1}})
     got = swap(m).component(2)
@@ -251,6 +258,17 @@ def test_unswap_inverts_swap(m):
 
 
 # -- pus / push / mantar / neg -----------------------------------------------
+
+
+def pus(mo):
+    """pus(M)^m(u_1..u_m) = M^m(u_m, u_1, ..., u_{m-1})."""
+    comps = [mo.components[0]]
+    for m in range(1, mo.depth + 1):
+        # old slot 1 gets u_m, old slot k >= 2 gets u_{k-1}
+        slots = [m - 1] + list(range(m - 1))
+        forms = [tuple(int(j == s) for j in range(m)) for s in slots]
+        comps.append(substitute(mo.components[m], forms, m))
+    return Mould(comps)
 
 
 def test_pus_pin():
@@ -334,6 +352,19 @@ def test_teru_division_is_always_exact(m):
 # -- translate_t / u_map -----------------------------------------------------
 
 
+def translate_t(mo):
+    """Parallel translation: identity at m = 0, 1;
+    t(M)^m(x_1..x_m) = M^{m-1}(x_2-x_1, ..., x_m-x_1) for m >= 2, up to
+    depth D+1."""
+    comps = [mo.components[0], mo.component(1)]
+    for m in range(2, mo.depth + 2):
+        # old slot j+1 gets x_{j+2} - x_1
+        forms = [(-1,) + tuple(int(k == j) for k in range(m - 1))
+                 for j in range(m - 1)]
+        comps.append(substitute(mo.component(m - 1), forms, m))
+    return Mould(comps)
+
+
 def test_translate_pin():
     m = Mo(2, {2: {(1, 0): 1}})
     t = translate_t(m)
@@ -351,14 +382,14 @@ def test_translate_unit():
 
 def test_u_map_depth3_pin():
     m = Mo(2, {2: {(2, 1): 1, (1, 0): 5}})
-    got = u_map(m).component(3)
+    got = u_component(m, 3)
     expected = substitute(m.component(2), [(-1, 0, 1), (0, 1, -1)], 3)
     assert got == expected
 
 
 def test_u_map_depth4_pin():
     m = Mo(3, {3: {(1, 1, 1): 1, (2, 0, 0): 1}})
-    got = u_map(m).component(4)
+    got = u_component(m, 4)
     expected = substitute(
         m.component(3),
         [(-1, 0, 0, 1), (0, 0, 1, -1), (0, 1, -1, 0)],
@@ -378,8 +409,9 @@ def test_u_component_pins():
 def test_u_map_is_translate_of_swap(m):
     # the composition t o swap is the oracle for the one-substitution form
     want = translate_t(swap(m))
-    got = u_map(m)
-    assert got == want and got.depth == want.depth == m.depth + 1
+    assert want.depth == m.depth + 1
+    for k in range(1, want.depth + 1):
+        assert u_component(m, k) == want.component(k), k
 
 
 # -- coll --------------------------------------------------------------------
@@ -431,6 +463,19 @@ def test_pus_sum_pins():
     assert pus_sum(mo, 3) == MultiPoly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
     # beyond the declared depth the component, and its sum, are zero
     assert pus_sum(mo, 4) == MultiPoly.zero(4)
+
+
+@settings(max_examples=30)
+@given(moulds(max_depth=4, max_deg=3))
+def test_pus_sum_is_the_sum_of_pus_powers(mo):
+    powers = [mo]
+    for _ in range(mo.depth - 1):
+        powers.append(pus(powers[-1]))
+    for m in range(1, mo.depth + 1):
+        want = MultiPoly.zero(m)
+        for pm in powers[:m]:
+            want = want + pm.component(m)
+        assert pus_sum(mo, m) == want, m
 
 
 # -- the senary rewriting: composite equals expansion ------------------------

@@ -1,5 +1,7 @@
-# Tests for ncword: words, Lie machinery, palindromes, decompositions,
-# cyclic words, shuffle and quasi-shuffle.
+# Tests for ncword: words, Lie machinery, palindromes, decompositions and
+# cyclic words; and the shuffle and quasi-shuffle of words in plain
+# variables, the definitions that alternality and alternility are checked
+# against.
 
 import itertools
 from fractions import Fraction
@@ -7,17 +9,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mouldkit.kernel import MultiPoly, RatFun
+from mouldkit.kernel import MultiPoly, RatMatrix, nullspace, substitute
+from mouldkit.mould import Mould
 from mouldkit.ncword import (
     AlphabetError,
     CyclicCombination,
     HasConstantTerm,
     NCPoly,
     NotHomogeneous,
-    VarWord,
     anti,
     coefficient,
-    decompose_left,
     decompose_right,
     homogeneous_weight,
     is_anti_palindromic,
@@ -27,13 +28,11 @@ from mouldkit.ncword import (
     lyndon_basis,
     lyndon_bracketing,
     lyndon_words,
-    quasi_shuffle_star,
     scale_letter,
-    shuffle,
     trace,
-    witt_dimension,
     word_weight,
 )
+from mouldkit.symmetry import alternality_defect, alternility_defect
 
 XY = ("x", "y")
 
@@ -101,6 +100,26 @@ def test_lyndon_words_small():
     assert lyndon_words(3, XY) == [("x", "x", "y"), ("x", "y", "y")]
 
 
+def _mobius(n):
+    out, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+def witt_dimension(w, k):
+    """dim of the weight-w part of the free Lie algebra on k letters:
+    (1/w) * sum_{d | w} mu(d) k^(w/d)."""
+    total = sum(_mobius(d) * k ** (w // d) for d in range(1, w + 1) if w % d == 0)
+    assert total % w == 0, (w, k, total)
+    return total // w
+
+
 def test_witt_pins():
     expected = {1: 2, 2: 1, 3: 2, 4: 3, 5: 6, 6: 9, 7: 18, 8: 30}
     for w, d in expected.items():
@@ -127,11 +146,11 @@ def test_lyndon_bracketing_pins():
 def test_lyndon_basis_spans_w5():
     # coordinates of the 6 basis elements over all 32 weight-5 words must
     # have full rank 6
-    from mouldkit.kernel import RatMatrix, rank
     basis = lyndon_basis(5, XY)
     words = ["".join(t) for t in itertools.product("xy", repeat=5)]
     entries = [[coefficient(p, tuple(w)) for w in words] for p in basis]
-    assert rank(RatMatrix.from_rows(entries, len(words))) == 6
+    m = RatMatrix.from_rows(entries, len(words))
+    assert m.cols - len(nullspace(m)) == 6
 
 
 # --------------------------------------------------------------------------
@@ -171,13 +190,6 @@ def test_decompose_right_pins():
     assert px.is_zero() and py.is_zero()
     with pytest.raises(HasConstantTerm):
         decompose_right(NCPoly.one(XY) + X)
-
-
-def test_decompose_left_pins():
-    px, py = decompose_left(P({"xy": 1, "yx": -1}))
-    assert px == Y and py == -1 * X
-    px, py = decompose_left(P({"yy": 1}))
-    assert px.is_zero() and py == Y
 
 
 # --------------------------------------------------------------------------
@@ -233,8 +245,6 @@ def test_decompose_round_trips(p):
     p = p - coefficient(p, ()) * NCPoly.one(XY)
     px, py = decompose_right(p)
     assert px * X + py * Y == p
-    lx, ly = decompose_left(p)
-    assert X * lx + Y * ly == p
 
 
 @given(ncpolys(), ncpolys(), ncpolys())
@@ -286,35 +296,81 @@ def test_non_lie_is_not_primitive():
 
 
 # --------------------------------------------------------------------------
-# shuffle
+# shuffle and quasi-shuffle of words in plain variables
+#
+# A word is a tuple of 0-based variable indices.  The quasi-shuffle
+# coefficients are rational functions in y_0, y_1, ..., where y_i mirrors
+# x_i, held as (num, den) pairs of MultiPoly and compared by
+# cross-multiplying.
 
-def V(arity, *indices):
-    return VarWord.of_vars(arity, indices)
+def shuffle(a, b):
+    """Plain shuffle of two words: dict word -> multiplicity.  The
+    multiplicities sum to binomial(len(a) + len(b), len(a))."""
+    if not a or not b:
+        return {a + b: 1}
+    out = {}
+    for head, tails in ((a[0], shuffle(a[1:], b)), (b[0], shuffle(a, b[1:]))):
+        for w, c in tails.items():
+            out[(head,) + w] = out.get((head,) + w, 0) + c
+    return out
+
+
+def _q_add(s, t):
+    (a, b), (c, d) = s, t
+    if b == d:
+        return a + c, b
+    return a * d + c * b, b * d
+
+
+def _q_same(s, t):
+    return s[0] * t[1] == t[0] * s[1]
+
+
+def _same_table(s, t):
+    return s.keys() == t.keys() and all(_q_same(s[w], t[w]) for w in s)
+
+
+def quasi_shuffle_star(a, b, nvars):
+    """Quasi-shuffle with contractions: dict word -> (num, den).
+
+      u om *sh* v et = u(om *sh* v et) + v(u om *sh* et)
+                       + f(u - v) { u(om *sh* et) - v(om *sh* et) }
+
+    with f(0) = 0 and f(x_i - x_j) = 1/(y_i - y_j).  Letters never merge;
+    only the coefficients grow."""
+    one = MultiPoly.const(nvars, 1)
+
+    def rec(la, lb):
+        if not la or not lb:
+            return {la + lb: (one, one)}
+        u, v = la[0], lb[0]
+        parts = [(u, rec(la[1:], lb), one, one), (v, rec(la, lb[1:]), one, one)]
+        if u != v:
+            inner = rec(la[1:], lb[1:])
+            f = MultiPoly.var(nvars, u) - MultiPoly.var(nvars, v)
+            parts += [(u, inner, one, f), (v, inner, -one, f)]
+        out = {}
+        for head, tails, num, den in parts:
+            for w, (n, d) in tails.items():
+                key, c = (head,) + w, (num * n, den * d)
+                out[key] = _q_add(out[key], c) if key in out else c
+        return {w: c for w, c in out.items() if not c[0].is_zero()}
+
+    return rec(tuple(a), tuple(b))
 
 
 def test_shuffle_pins():
-    a, b = V(2, 1), V(2, 2)
-    got = shuffle(a, b)
-    assert got == {V(2, 1, 2): 1, V(2, 2, 1): 1}
-    got = shuffle(V(3, 1), VarWord.of_vars(3, (2, 3)))
-    assert got == {V(3, 1, 2, 3): 1, V(3, 2, 1, 3): 1, V(3, 2, 3, 1): 1}
-    empty = VarWord(2, ())
-    assert shuffle(empty, V(2, 1, 2)) == {V(2, 1, 2): 1}
+    assert shuffle((0,), (1,)) == {(0, 1): 1, (1, 0): 1}
+    assert shuffle((0,), (1, 2)) == {(0, 1, 2): 1, (1, 0, 2): 1, (1, 2, 0): 1}
+    assert shuffle((), (0, 1)) == {(0, 1): 1}
 
 
 def test_shuffle_multiplicity():
     # equal letters pile up: (x1) sh (x1) = 2 (x1,x1)
-    assert shuffle(V(2, 1), V(2, 1)) == {V(2, 1, 1): 2}
+    assert shuffle((0,), (0,)) == {(0, 0): 2}
 
 
-var_words = st.builds(
-    lambda idx: VarWord.of_vars(4, idx),
-    st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=3),
-)
-
-
-def _shuffle_table_word(table, c):
-    return {w: v * c for w, v in table.items()}
+var_words = st.lists(st.integers(min_value=0, max_value=3), max_size=3).map(tuple)
 
 
 def _shuffle_tables(ta, tb):
@@ -348,58 +404,102 @@ def test_shuffle_coefficient_mass(a, b):
     assert sum(got.values()) == comb(len(a) + len(b), len(a))
 
 
-# --------------------------------------------------------------------------
-# quasi-shuffle
-
 def test_quasi_shuffle_star_depth_one_pair():
-    got = quasi_shuffle_star(V(2, 1), V(2, 2))
-    f = RatFun.reciprocal_linear((1, -1), 2)  # 1/(y1 - y2)
-    one = RatFun.from_poly(MultiPoly.const(2, 1))
-    assert got == {
-        V(2, 1, 2): one,
-        V(2, 2, 1): one,
-        V(2, 1): f,
-        V(2, 2): -f,
-    }
+    one = MultiPoly.const(2, 1)
+    y12 = MultiPoly.var(2, 0) - MultiPoly.var(2, 1)
+    got = quasi_shuffle_star((0,), (1,), 2)
+    assert _same_table(got, {
+        (0, 1): (one, one),
+        (1, 0): (one, one),
+        (0,): (one, y12),  # 1/(y1 - y2)
+        (1,): (-one, y12),
+    })
 
 
 def test_quasi_shuffle_star_f0_is_zero():
-    got = quasi_shuffle_star(V(2, 1), V(2, 1))
-    assert got == {V(2, 1, 1): RatFun.from_poly(MultiPoly.const(2, 2))}
+    got = quasi_shuffle_star((0,), (0,), 2)
+    one = MultiPoly.const(2, 1)
+    assert _same_table(got, {(0, 0): (2 * one, one)})
 
 
 def test_quasi_shuffle_star_unit():
-    empty = VarWord(3, ())
-    w = V(3, 2, 3)
-    one = RatFun.from_poly(MultiPoly.const(3, 1))
-    assert quasi_shuffle_star(empty, w) == {w: one}
-    assert quasi_shuffle_star(w, empty) == {w: one}
+    w = (1, 2)
+    one = MultiPoly.const(3, 1)
+    assert quasi_shuffle_star((), w, 3) == {w: (one, one)}
+    assert quasi_shuffle_star(w, (), 3) == {w: (one, one)}
 
 
-def test_quasi_shuffle_star_general_letter():
-    # letters that are combinations, e.g. f(2x1 - x2) = 1/(2y1 - y2)
-    u = VarWord(2, ((2, 0),))
-    v = VarWord(2, ((0, 1),))
-    got = quasi_shuffle_star(u, v)
-    f = RatFun.reciprocal_linear((2, -1), 2)
-    assert got[VarWord(2, ((2, 0),))] == f
-    assert got[VarWord(2, ((0, 1),))] == -f
+def test_quasi_shuffle_star_contraction_sign():
+    # the contraction of (x2) with (x1) carries 1/(y2 - y1) on x2
+    got = quasi_shuffle_star((1,), (0,), 2)
+    one = MultiPoly.const(2, 1)
+    y12 = MultiPoly.var(2, 0) - MultiPoly.var(2, 1)
+    assert _q_same(got[(1,)], (-one, y12))
+    assert _q_same(got[(0,)], (one, y12))
 
 
 @given(var_words, var_words)
 @settings(deadline=None, max_examples=60)
 def test_quasi_shuffle_star_commutative(a, b):
-    assert quasi_shuffle_star(a, b) == quasi_shuffle_star(b, a)
+    assert _same_table(quasi_shuffle_star(a, b, 4), quasi_shuffle_star(b, a, 4))
 
 
 @given(var_words, var_words)
 @settings(deadline=None, max_examples=60)
 def test_quasi_shuffle_star_shuffle_part(a, b):
     # dropping every contracted (shorter) word recovers plain shuffle
-    full = quasi_shuffle_star(a, b)
+    full = quasi_shuffle_star(a, b, 4)
     n = len(a) + len(b)
     top = {w: c for w, c in full.items() if len(w) == n}
     sh = shuffle(a, b)
     assert set(top) == set(sh)
+    one = MultiPoly.const(4, 1)
     for w, c in sh.items():
-        assert top[w] == RatFun.from_poly(MultiPoly.const(a.arity, c)), w
+        assert _q_same(top[w], (c * one, one)), w
+
+
+# --------------------------------------------------------------------------
+# the shuffle sums as references for alternality and alternility
+
+@st.composite
+def split_moulds(draw):
+    """A mould of depth n <= 4 and a split p + q = n."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    p = draw(st.integers(min_value=1, max_value=n - 1))
+    comps = {}
+    for m in range(1, n + 1):
+        exps = st.tuples(*([st.integers(min_value=0, max_value=2)] * m))
+        comps[m] = MultiPoly(m, draw(st.dictionaries(exps, coeffs, max_size=3)))
+    return Mould.from_components(n, comps), p, n - p
+
+
+def _evaluate(mo, word, nvars):
+    """M^k(x_{word_1}, ..., x_{word_k}) in nvars variables, k = len(word)."""
+    forms = [tuple(int(j == i) for j in range(nvars)) for i in word]
+    return substitute(mo.component(len(word)), forms, nvars)
+
+
+@given(split_moulds())
+@settings(deadline=None, max_examples=60)
+def test_alternality_defect_is_the_shuffle_sum(case):
+    mo, p, q = case
+    n = p + q
+    want = MultiPoly.zero(n)
+    for w, c in shuffle(tuple(range(p)), tuple(range(p, n))).items():
+        want = want + c * _evaluate(mo, w, n)
+    assert alternality_defect(mo, p, q) == want
+
+
+@given(split_moulds())
+@settings(deadline=None, max_examples=100)
+def test_alternility_defect_is_the_quasi_shuffle_sum(case):
+    # the quasi-shuffle sum at y = x, collected over each denominator
+    mo, p, q = case
+    n = p + q
+    by_den = {}
+    for w, (a, b) in quasi_shuffle_star(tuple(range(p)), tuple(range(p, n)), n).items():
+        by_den[b] = by_den.get(b, MultiPoly.zero(n)) + a * _evaluate(mo, w, n)
+    num, den = MultiPoly.zero(n), MultiPoly.const(n, 1)
+    for b, a in by_den.items():
+        num, den = _q_add((num, den), (a, b))
+    assert alternility_defect(mo, p, q) * den == num
