@@ -552,14 +552,14 @@ def _suite_vimo_invariants(checks, rng, wmax):
                         {"w": w, "r": r},
                     )
                 )
-            neg = substitute(
+            negated = substitute(
                 p, [tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)], n
             )
             sign = 1 if (w - r) % 2 == 0 else -1
             checks.append(
                 _check(
                     "vimo parity [w=%d r=%d]" % (w, r),
-                    p == sign * neg,
+                    p == sign * negated,
                     {"w": w, "r": r},
                 )
             )

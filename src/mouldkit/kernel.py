@@ -12,8 +12,13 @@
 # Conventions:
 #   - variables are indexed 0..nvars-1 internally; printing uses x1..xn
 #   - a "linear form" is a coefficient tuple over the target variables
-#   - lexicographic order on exponent tuples is the monomial order used by
-#     exact division (it is a well-order, so division always terminates)
+#   - lexicographic order on exponent tuples is the monomial order of
+#     exact_div, which only the tests use, as an independent reference
+#
+# Every divided difference (P(.., a, ..) - P(.., b, ..)) / (a - b) in the
+# mould operators is divided_difference in two variable slots, followed
+# where needed by one substitute that puts a and b in place; no long
+# division runs.
 #
 # Linear algebra (nullspace, solve_linear) is one kernel computation,
 # _kernel, which starts from a screen.  Each row is scaled to integers, and a
@@ -66,10 +71,6 @@ class NotDivisible(ArithmeticError):
 
 class MalformedSubstitution(ValueError):
     pass
-
-
-class PoleError(ArithmeticError):
-    """A denominator survived where a polynomial was required."""
 
 
 class NoSolution:
@@ -344,13 +345,32 @@ def embed_vars(p, positions, out_nvars):
     return MultiPoly._raw(out_nvars, out)
 
 
+def divided_difference(p, u, v):
+    """(p - p|_{x_u := x_v}) / (x_u - x_v) in the same variables (0-based
+    slots u != v).  Term by term, x_u^a x_v^b goes to
+    sum_{i<a} x_u^i x_v^(a-1-i+b): nothing is divided, nothing can fail."""
+    n = p.nvars
+    if u == v or not (0 <= u < n and 0 <= v < n):
+        raise ValueError("divided_difference needs distinct slots in 0..%d, "
+                         "got %r, %r" % (n - 1, u, v))
+    out = {}
+    for e, c in p.terms.items():
+        a, b = e[u], e[v]
+        ne = list(e)
+        for i in range(a):
+            ne[u], ne[v] = i, a - 1 - i + b
+            k = tuple(ne)
+            out[k] = out[k] + c if k in out else c
+    return MultiPoly._raw(n, {k: c for k, c in out.items() if c})
+
+
 def exact_div(p, q):
     """Exact polynomial division: the r with r*q = p, else NotDivisible.
 
     Monomial-ordered (lex) long division with a zero-remainder requirement.
-    A divisibility failure is a meaningful signal here, typically that an
-    input mould violates a vanishing condition, so the remainder at the
-    point of failure rides along in the exception."""
+    No operator in the package divides any more (divided_difference expands
+    its quotient directly); exact_div stays as the tests' independent
+    reference for those expansions."""
     assert isinstance(p, MultiPoly) and isinstance(q, MultiPoly), (p, q)
     assert p.nvars == q.nvars, (p.nvars, q.nvars)
     if q.is_zero():

@@ -1,9 +1,9 @@
 # Moulds: finite sequences (M^0, M^1(x1), ..., M^D(x1..xD)) with M^m a
 # polynomial in m commuting variables, together with the elementary operators:
-# the deconcatenation product, swap, push, mantar, neg, teru, the components
-# of the u-map, collision maps, and pus-neutrality.
+# the deconcatenation product, swap, push, mantar, teru, the components of
+# the u-map, collision maps, and pus-neutrality.
 #
-# Depth bookkeeping: swap/push/mantar/neg keep the declared depth; teru
+# Depth bookkeeping: swap/push/mantar keep the declared depth; teru
 # returns depth D+1 because its top component is genuinely nonzero for
 # generic depth-D input (truncating there would silently weaken the senary
 # checks at r = D+1).
@@ -11,7 +11,7 @@
 from fractions import Fraction
 
 from . import _speed as _sp
-from .kernel import MultiPoly, exact_div, rat, substitute, permute_vars, embed_vars
+from .kernel import MultiPoly, divided_difference, embed_vars, permute_vars, rat, substitute
 
 
 class SlotError(ValueError):
@@ -62,7 +62,8 @@ class Mould:
 
     def component(self, m):
         """M^m, with components beyond the declared depth implicitly zero."""
-        assert m >= 0, m
+        if m < 0:
+            raise ValueError("component needs m >= 0, got %r" % (m,))
         if m == 0:
             return self.components[0]
         if m <= self.depth:
@@ -183,8 +184,8 @@ def mould_mul(a, b):
 # ---------------------------------------------------------------------------
 # argument-substitution operators (depth preserved)
 
-def _unit_form(m, j, scale=1):
-    return tuple(Fraction(scale) if k == j else Fraction(0) for k in range(m))
+def _unit_form(m, j):
+    return tuple(Fraction(int(k == j)) for k in range(m))
 
 
 def swap(mo):
@@ -230,38 +231,26 @@ def mantar(mo):
     return Mould(comps)
 
 
-def neg(mo):
-    """neg(M)^m(u) = M^m(-u_1, ..., -u_m)."""
-    _check_mould(mo, "neg")
-    comps = [mo.components[0]]
-    for m in range(1, mo.depth + 1):
-        forms = [_unit_form(m, j, -1) for j in range(m)]
-        comps.append(substitute(mo.components[m], forms, m))
-    return Mould(comps)
-
-
 # ---------------------------------------------------------------------------
 # teru, the u-map, collisions (depth grows to D+1)
 
 def teru(mo):
     """teru(M)^m = M^m + (1/u_m){M^{m-1}(u_1,..,u_{m-2},u_{m-1}+u_m)
     - M^{m-1}(u_1,..,u_{m-1})}; teru(M)^1 = M^1 (the corrections collapse
-    to M^0 - M^0)."""
+    to M^0 - M^0).
+
+    The correction is the divided_difference of M^{m-1} in its last slot
+    x_{m-1} and a fresh x_m, followed by one substitution
+    x_{m-1} -> u_{m-1}+u_m, x_m -> u_{m-1}; nothing is divided."""
     _check_mould(mo, "teru")
     comps = [mo.components[0]]
     if mo.depth >= 1:
         comps.append(mo.components[1])
     for m in range(2, mo.depth + 2):
-        prev = mo.component(m - 1)
-        # M^{m-1}(u_1, ..., u_{m-2}, u_{m-1}+u_m) inside m variables
-        forms = [_unit_form(m, j) for j in range(m - 2)]
-        last = [Fraction(0)] * m
-        last[m - 2] = Fraction(1)
-        last[m - 1] = Fraction(1)
-        forms.append(tuple(last))
-        merged = substitute(prev, forms, m)
-        plain = embed_vars(prev, list(range(m - 1)), m)
-        corr = exact_div(merged - plain, MultiPoly.var(m, m - 1))
+        prev = embed_vars(mo.component(m - 1), list(range(m - 1)), m)
+        forms = [_unit_form(m, j) for j in range(m - 1)] + [_unit_form(m, m - 2)]
+        forms[m - 2] = tuple(Fraction(int(k >= m - 2)) for k in range(m))
+        corr = substitute(divided_difference(prev, m - 2, m - 1), forms, m)
         comps.append(mo.component(m) + corr)
     return Mould(comps)
 
@@ -286,15 +275,14 @@ def coll(mo, m, i):
     """Collision map: replace component m by the divided difference
     (1/(x_i - x_{i+1})) { M^{m-1}(args without x_{i+1})
                         - M^{m-1}(args without x_i) };
-    every other component is unchanged."""
+    every other component is unchanged.  The second evaluation is the first
+    with x_i renamed x_{i+1}, so the new component is the divided_difference
+    of the first in slots (x_i, x_{i+1})."""
     _check_mould(mo, "coll")
     if not (2 <= m and 1 <= i <= m - 1):
         raise SlotError("coll slot (m=%s, i=%s) out of range" % (m, i))
-    prev = mo.component(m - 1)
-    drop_next = embed_vars(prev, [j if j < i else j + 1 for j in range(m - 1)], m)
-    drop_here = embed_vars(prev, [j if j < i - 1 else j + 1 for j in range(m - 1)], m)
-    divisor = MultiPoly.var(m, i - 1) - MultiPoly.var(m, i)
-    new_comp = exact_div(drop_next - drop_here, divisor)
+    slots = [j if j < i else j + 1 for j in range(m - 1)]  # no x_{i+1}
+    new_comp = divided_difference(embed_vars(mo.component(m - 1), slots, m), i - 1, i)
     depth = max(mo.depth, m)
     out = Mould.zero(depth)
     out.components[0] = mo.components[0]

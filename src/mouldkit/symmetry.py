@@ -14,12 +14,10 @@ from math import comb
 from .kernel import (
     MultiPoly,
     NoSolution,
-    NotDivisible,
-    PoleError,
     RatMatrix,
     column_rows,
+    divided_difference,
     embed_vars,
-    exact_div,
     nullspace,
     permute_vars,
     substitute,
@@ -114,9 +112,10 @@ def is_alternal(mo):
 # divided-difference recursion:
 # interleave the two blocks letter by letter, and each contraction of a pair
 # (x_u, x_v) contributes the divided difference of the two single-letter
-# continuations.  Both continuations agree on x_u = x_v, so the division is
-# exact for every polynomial-component mould; a failure can only mean the
-# input is not of that shape and surfaces as PoleError.
+# continuations.  x_v occurs in neither block of the continuation that
+# contracts to x_u, so the other one is it with x_u renamed x_v, and the
+# contraction is the divided_difference of the first alone: three recursive
+# calls per step, and nothing is divided.
 
 def _alternility_eval(mo, omega, eta, rho, nvars):
     if not omega or not eta:
@@ -126,16 +125,7 @@ def _alternility_eval(mo, omega, eta, rho, nvars):
     a = _alternility_eval(mo, omega[1:], eta, rho + (u,), nvars)
     b = _alternility_eval(mo, omega, eta[1:], rho + (v,), nvars)
     cu = _alternility_eval(mo, omega[1:], eta[1:], rho + (u,), nvars)
-    cv = _alternility_eval(mo, omega[1:], eta[1:], rho + (v,), nvars)
-    div = MultiPoly.var(nvars, u) - MultiPoly.var(nvars, v)
-    try:
-        c = exact_div(cu - cv, div)
-    except NotDivisible as e:
-        raise PoleError(
-            "surviving pole at x_%d - x_%d in the (%d,%d) alternility sum"
-            % (u + 1, v + 1, len(omega) + len(rho), len(eta))
-        ) from e
-    return a + b + c
+    return a + b + divided_difference(cu, u, v)
 
 
 def alternility_defect(mo, p, q):
@@ -188,59 +178,48 @@ def alternil_up_to_constant(mo):
 #   rhs  = M^r(-y_1-..-y_r, y_1,..,y_{r-1})
 #          + (1/(y_1+..+y_r)){M^{r-1}(-y_2-..-y_r, y_2,..,y_{r-1})
 #                             - M^{r-1}(y_1,..,y_{r-1})}
-# with the r = 1 instances collapsing to M^1(y_1) resp. M^1(-y_1).  Both
-# divisions are exact for every mould (the bracketed differences vanish on
-# the divisor's zero set), which the operator identity
-# teru = push o mantar o teru o mantar (criterion-level pin) also forces.
+# with the r = 1 instances collapsing to M^1(y_1) resp. M^1(-y_1).  Each
+# bracket is the divided_difference of M^{r-1}, embedded in r variables, in
+# the slot that changes and the fresh slot r, with both arguments then put
+# in place by one substitute; nothing is divided.  The rhs's two arguments
+# differ by -(y_1+..+y_r), so its correction is subtracted.  Neither side
+# calls teru, push or mantar: teru = push o mantar o teru o mantar stays an
+# independent check of both.
+
+def _check_r(r, name):
+    if r < 1:
+        raise ValueError("%s needs r >= 1, got %r" % (name, r))
+
 
 def senary_lhs(mo, r):
     _check_mould(mo, "senary_lhs")
-    assert r >= 1, r
+    _check_r(r, "senary_lhs")
     if r == 1:
         return mo.component(1)
-    prev = mo.component(r - 1)
-    forms = []
-    for j in range(r - 2):
-        f = [Fraction(0)] * r
-        f[j] = Fraction(1)
-        forms.append(tuple(f))
-    last = [Fraction(0)] * r
-    last[r - 2] = Fraction(1)
-    last[r - 1] = Fraction(1)
-    forms.append(tuple(last))
-    merged = substitute(prev, forms, r)
-    plain = embed_vars(prev, list(range(r - 1)), r)
-    corr = exact_div(merged - plain, MultiPoly.var(r, r - 1))
+    prev = embed_vars(mo.component(r - 1), list(range(r - 1)), r)
+    # slot r-1 -> y_{r-1}+y_r, slot r -> y_{r-1}
+    forms = [tuple(Fraction(int(k == j)) for k in range(r)) for j in range(r)]
+    forms[r - 2] = tuple(Fraction(int(k >= r - 2)) for k in range(r))
+    forms[r - 1] = tuple(Fraction(int(k == r - 2)) for k in range(r))
+    corr = substitute(divided_difference(prev, r - 2, r - 1), forms, r)
     return mo.component(r) + corr
 
 
 def senary_rhs(mo, r):
     _check_mould(mo, "senary_rhs")
-    assert r >= 1, r
+    _check_r(r, "senary_rhs")
     if r == 1:
         return substitute(mo.component(1), [(Fraction(-1),)], 1)
     forms = [tuple(Fraction(-1) for _ in range(r))]
-    for k in range(2, r + 1):
-        f = [Fraction(0)] * r
-        f[k - 2] = Fraction(1)
-        forms.append(tuple(f))
+    forms += [tuple(Fraction(int(k == j)) for k in range(r)) for j in range(r - 1)]
     main = substitute(mo.component(r), forms, r)
-    prev = mo.component(r - 1)
-    head = [Fraction(0)] * r
-    for j in range(1, r):
-        head[j] = Fraction(-1)
-    pforms = [tuple(head)]
-    for j in range(2, r):
-        f = [Fraction(0)] * r
-        f[j - 1] = Fraction(1)
-        pforms.append(tuple(f))
-    merged = substitute(prev, pforms, r)
-    plain = embed_vars(prev, list(range(r - 1)), r)
-    divisor = MultiPoly(
-        r, {tuple(1 if k == j else 0 for k in range(r)): 1 for j in range(r)}
-    )
-    corr = exact_div(merged - plain, divisor)
-    return main + corr
+    prev = embed_vars(mo.component(r - 1), list(range(r - 1)), r)
+    # slot 1 -> -(y_2+..+y_r), slot r -> y_1, the others fixed
+    pforms = [tuple(Fraction(int(k == j)) for k in range(r)) for j in range(r)]
+    pforms[0] = tuple(Fraction(-int(k > 0)) for k in range(r))
+    pforms[r - 1] = tuple(Fraction(int(k == 0)) for k in range(r))
+    corr = substitute(divided_difference(prev, 0, r - 1), pforms, r)
+    return main - corr
 
 
 def senary_defect(mo, r):
@@ -250,7 +229,7 @@ def senary_defect(mo, r):
 
 def senary_holds(mo, r):
     _check_mould(mo, "senary_holds")
-    assert r >= 1, r
+    _check_r(r, "senary_holds")
     return senary_defect(mo, r).is_zero()
 
 
@@ -266,7 +245,7 @@ def senary_eq41_holds(mo, r):
 
     Only u(M)^{r+1} and, for the collision maps, u(M)^r are built."""
     _check_mould(mo, "senary_eq41_holds")
-    assert r >= 1, r
+    _check_r(r, "senary_eq41_holds")
     n = r + 1
     comp = u_component(mo, n)
     rotated = permute_vars(comp, [(j + 1) % n for j in range(n)])

@@ -10,6 +10,7 @@ from mouldkit.kernel import (
     MalformedSubstitution,
     RatMatrix,
     column_rows,
+    divided_difference,
     embed_vars,
     exact_div,
     nullspace,
@@ -286,6 +287,49 @@ def test_exact_div_roundtrip(a, b):
     if b.is_zero():
         return
     assert exact_div(a * b, b) == a
+
+
+# -- divided differences ---------------------------------------------------
+
+
+def test_divided_difference_pinned():
+    # (x1^2 x2 - x2^3) / (x1 - x2) = x1 x2 + x2^2
+    x1, x2 = x(2, 0), x(2, 1)
+    assert divided_difference(x1 * x1 * x2, 0, 1) == x1 * x2 + x2 * x2
+    assert divided_difference(x2 ** 3, 0, 1).is_zero()
+    assert divided_difference(MultiPoly.const(2, 5), 1, 0).is_zero()
+
+
+def test_divided_difference_rejects_bad_slots():
+    p = x(3, 0)
+    for u, v in ((1, 1), (0, 3), (-1, 0), (2, 7)):
+        with pytest.raises(ValueError, match="divided_difference"):
+            divided_difference(p, u, v)
+
+
+@st.composite
+def poly_and_slots(draw):
+    nvars = draw(st.integers(min_value=2, max_value=4))
+    p = draw(polys(nvars=nvars, max_deg=4, max_terms=6))
+    u, v = draw(st.lists(st.integers(0, nvars - 1), min_size=2, max_size=2,
+                         unique=True))
+    return p, u, v
+
+
+@given(poly_and_slots())
+@settings(max_examples=150)
+def test_divided_difference_matches_long_division(puv):
+    # p may contain x_v: the exponent of x_v must ride along in each term
+    p, u, v = puv
+    n = p.nvars
+    renamed = substitute(
+        p, [tuple(int(k == (v if j == u else j)) for k in range(n)) for j in range(n)], n
+    )
+    diff = p - renamed
+    divisor = x(n, u) - x(n, v)
+    got = divided_difference(p, u, v)
+    assert divisor * got == diff
+    assert got == exact_div(diff, divisor)
 
 
 # -- linear algebra --------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from mouldkit.kernel import (
     MultiPoly,
-    NotDivisible,
     embed_vars,
     exact_div,
     substitute,
@@ -21,7 +20,6 @@ from mouldkit.mould import (
     is_pus_neutral,
     mantar,
     mould_mul,
-    neg,
     pus_sum,
     push,
     swap,
@@ -309,6 +307,15 @@ def test_mantar_pins():
     assert mantar(m3).component(3) == v(3, 3)
 
 
+def neg(mo):
+    """neg(M)^m(u) = M^m(-u_1, ..., -u_m)."""
+    comps = [mo.components[0]]
+    for m in range(1, mo.depth + 1):
+        forms = [tuple(-int(j == i) for j in range(m)) for i in range(m)]
+        comps.append(substitute(mo.components[m], forms, m))
+    return Mould(comps)
+
+
 def test_neg_pin():
     m = Mo(2, {1: {(1,): 1}, 2: {(1, 1): 1}})
     assert neg(m).component(1) == -v(1, 1)
@@ -345,8 +352,11 @@ def test_teru_depth1_of_fil2_vanishes():
 @settings(max_examples=40)
 @given(moulds(max_depth=4, max_deg=4))
 def test_teru_division_is_always_exact(m):
-    t = teru(m)  # raises NotDivisible on any failure
+    # teru(M)^r is the senary lhs; the expansion below long-divides
+    t = teru(m)
     assert t.depth == m.depth + 1
+    for r in range(1, t.depth + 1):
+        assert t.component(r) == senary_expansion_lhs(m, r), r
 
 
 # -- translate_t / u_map -----------------------------------------------------
@@ -441,8 +451,20 @@ def test_coll_slot_errors():
 def test_coll_division_is_always_exact(m, depth, i):
     if i >= depth:
         i = depth - 1
-    out = coll(m, depth, i)  # raises NotDivisible on any failure
-    assert out.component(depth).nvars == depth
+    out = coll(m, depth, i)
+    assert out.component(depth) == coll_expansion(m, depth, i)
+    for k in range(1, max(m.depth, depth) + 1):
+        if k != depth:
+            assert out.component(k) == m.component(k), k
+
+
+def coll_expansion(m, depth, i):
+    """The new component of coll(M, depth, i), by long division."""
+    prev = m.component(depth - 1)
+    drop_next = embed_vars(prev, [j if j < i else j + 1 for j in range(depth - 1)], depth)
+    drop_here = embed_vars(prev, [j if j < i - 1 else j + 1 for j in range(depth - 1)], depth)
+    divisor = MultiPoly.var(depth, i - 1) - MultiPoly.var(depth, i)
+    return exact_div(drop_next - drop_here, divisor)
 
 
 # -- pus-neutrality ----------------------------------------------------------

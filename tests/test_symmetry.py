@@ -312,7 +312,6 @@ OPERATOR_CALLS = {
     "swap": "mould.swap(mo)",
     "push": "mould.push(mo)",
     "mantar": "mould.mantar(mo)",
-    "neg": "mould.neg(mo)",
     "teru": "mould.teru(mo)",
     "u_component": "mould.u_component(mo, 2)",
     "coll": "mould.coll(mo, 2, 1)",
@@ -338,11 +337,10 @@ for name, call in CALLS.items():
 """
 
 
-@pytest.fixture(scope="module")
-def raised_under_optimize():
+def _raised_under_optimize(calls):
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-O", "-c", "CALLS = %r\n%s" % (OPERATOR_CALLS, _RAISED)],
+        [sys.executable, "-O", "-c", "CALLS = %r\n%s" % (calls, _RAISED)],
         env={"PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
@@ -352,9 +350,38 @@ def raised_under_optimize():
     return dict(line.split(" ", 1) for line in done.stdout.splitlines())
 
 
+@pytest.fixture(scope="module")
+def raised_under_optimize():
+    return _raised_under_optimize(OPERATOR_CALLS)
+
+
 @pytest.mark.parametrize("name", sorted(OPERATOR_CALLS))
 def test_operator_rejects_non_mould(name, raised_under_optimize):
     scope = {"mould": mouldkit.mould, "symmetry": mouldkit.symmetry, "mo": None}
     with pytest.raises(TypeError, match=name):
         eval(OPERATOR_CALLS[name], scope)
     assert raised_under_optimize[name] == "TypeError True"
+
+
+# A negative component index and a senary instance r < 1 are ValueErrors
+# that name the function, also under python -O.
+BAD_ARGUMENT_CALLS = {
+    "component": "mould.Mould.zero(2).component(-1)",
+    "senary_lhs": "symmetry.senary_lhs(mould.Mould.zero(2), 0)",
+    "senary_rhs": "symmetry.senary_rhs(mould.Mould.zero(2), 0)",
+    "senary_holds": "symmetry.senary_holds(mould.Mould.zero(2), 0)",
+    "senary_eq41_holds": "symmetry.senary_eq41_holds(mould.Mould.zero(2), -1)",
+}
+
+
+@pytest.fixture(scope="module")
+def bad_argument_raised_under_optimize():
+    return _raised_under_optimize(BAD_ARGUMENT_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ARGUMENT_CALLS))
+def test_operator_rejects_bad_argument(name, bad_argument_raised_under_optimize):
+    scope = {"mould": mouldkit.mould, "symmetry": mouldkit.symmetry, "mo": None}
+    with pytest.raises(ValueError, match=name):
+        eval(BAD_ARGUMENT_CALLS[name], scope)
+    assert bad_argument_raised_under_optimize[name] == "ValueError True"
