@@ -2,51 +2,50 @@
 # associated mould ma, and the change of variables between F and f-tilde.
 
 from fractions import Fraction
+from math import lcm
 
 from .kernel import MultiPoly, rat, substitute
 from .mould import Mould
-from .ncword import NCPoly, _weight_parts, homogeneous_weight
+from .ncword import AlphabetError, NCPoly, _weight_parts, homogeneous_weight
 
 XY = ("x", "y")
 
 
-def ncsubstitute(p, images):
-    """Algebra-map substitution: every letter of p is replaced by its image,
-    words multiply out noncommutatively.  All images must share an alphabet,
-    which becomes the output alphabet."""
-    assert isinstance(p, NCPoly), p
-    target = None
-    for s in p.alphabet:
-        img = images[s]
-        assert isinstance(img, NCPoly), (s, img)
-        if target is None:
-            target = img.alphabet
-        assert img.alphabet == target, (img.alphabet, target)
-    if target is None:
-        target = p.alphabet
-    out = NCPoly.zero(target)
+def _check_xy(p, name):
+    """Refuse anything but an NCPoly over the alphabet ("x", "y")."""
+    if not isinstance(p, NCPoly):
+        raise TypeError("%s needs an NCPoly, got %s" % (name, type(p).__name__))
+    if p.alphabet != XY:
+        raise AlphabetError("%s needs the alphabet %r, got %r" % (name, XY, p.alphabet))
+
+
+def _signed_word_map(p, y_sign):
+    """p(-x + y_sign*y, -y).  Every image word has coefficient +-1, so the
+    words are expanded letter by letter as integer counts over the common
+    denominator of p's coefficients, with one Fraction per output word."""
+    images = {"x": (("x", -1), ("y", y_sign)), "y": (("y", -1),)}
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    acc = {}
     for wd, c in p.terms.items():
-        term = c * NCPoly.one(target)
-        for s in wd:
-            term = term * images[s]
-        out = out + term
-    return out
+        part = {(): c.numerator * (d // c.denominator)}
+        for a in wd:
+            img = images[a]
+            part = {o + (b,): s * v for o, v in part.items() for b, s in img}
+        for o, v in part.items():
+            acc[o] = acc.get(o, 0) + v
+    return NCPoly._raw(XY, {o: Fraction(v, d) for o, v in acc.items() if v})
 
 
 def F_to_ftilde(F):
     """F(x, y) -> F(-x + y, -y)."""
-    assert isinstance(F, NCPoly), F
-    x = NCPoly.letter(XY, "x")
-    y = NCPoly.letter(XY, "y")
-    return ncsubstitute(F, {"x": -1 * x + y, "y": -1 * y})
+    _check_xy(F, "F_to_ftilde")
+    return _signed_word_map(F, 1)
 
 
 def ftilde_to_F(f):
     """Inverse change of variables: f(x, y) -> f(-x - y, -y)."""
-    assert isinstance(f, NCPoly), f
-    x = NCPoly.letter(XY, "x")
-    y = NCPoly.letter(XY, "y")
-    return ncsubstitute(f, {"x": -1 * x - y, "y": -1 * y})
+    _check_xy(f, "ftilde_to_F")
+    return _signed_word_map(f, -1)
 
 
 def _word_exponents(wd):
@@ -88,8 +87,9 @@ class CoeffTable:
 
     @classmethod
     def from_poly(cls, h):
-        assert isinstance(h, NCPoly), h
-        assert not h.is_zero(), "coefficient table of the zero polynomial"
+        _check_xy(h, "CoeffTable.from_poly")
+        if h.is_zero():
+            raise ValueError("CoeffTable.from_poly needs a nonzero polynomial")
         w = homogeneous_weight(h)
         by_depth = {}
         for wd, c in h.terms.items():
@@ -134,7 +134,7 @@ def ma(h):
     """The associated mould: ma^0 = 0 and
     ma^r(u_1..u_r) = vimo^r(0, u_1, u_1+u_2, ..., u_1+...+u_r),
     extended weight-componentwise to inhomogeneous input."""
-    assert isinstance(h, NCPoly), h
+    _check_xy(h, "ma")
     out = Mould.zero(0)
     for w, part in _weight_parts(h).items():
         if w == 0:

@@ -430,10 +430,12 @@ def cmd_check(args):
 # the consolidated verification campaign
 
 def _random_lie(rng, w):
-    out = NCPoly.zero(XY)
+    terms = {}
     for b in lyndon_basis(w, XY):
-        out = out + Fraction(rng.randint(-6, 6), rng.randint(1, 3)) * b
-    return out
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        for wd, e in b.terms.items():
+            terms[wd] = terms.get(wd, 0) + c * e
+    return NCPoly._raw(XY, {wd: v for wd, v in terms.items() if v})
 
 
 def _random_mould(rng, depth, deg):

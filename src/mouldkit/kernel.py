@@ -144,7 +144,9 @@ class MultiPoly:
     @classmethod
     def var(cls, nvars, i):
         """The variable x_{i+1} (index i, 0-based) in nvars variables."""
-        assert 0 <= i < nvars, (i, nvars)
+        if not 0 <= i < nvars:
+            raise ValueError("MultiPoly.var needs an index in 0..%d, got %r"
+                             % (nvars - 1, i))
         e = [0] * nvars
         e[i] = 1
         return cls._raw(nvars, {tuple(e): Fraction(1)})
@@ -321,7 +323,9 @@ def permute_vars(p, perm):
 
     perm is a permutation of range(p.nvars).  Cheaper than substitute for
     the operators that only shuffle arguments (mantar, rotations)."""
-    assert sorted(perm) == list(range(p.nvars)), perm
+    if sorted(perm) != list(range(p.nvars)):
+        raise ValueError("permute_vars needs a permutation of range(%d), got %r"
+                         % (p.nvars, perm))
     out = {}
     for e, c in p.terms.items():
         ne = [0] * p.nvars
@@ -334,8 +338,10 @@ def permute_vars(p, perm):
 def embed_vars(p, positions, out_nvars):
     """View p as a polynomial in out_nvars variables, sending old variable i
     to new variable positions[i].  Positions must be distinct."""
-    assert len(positions) == p.nvars, (positions, p.nvars)
-    assert len(set(positions)) == p.nvars, positions
+    if (len(positions) != p.nvars or len(set(positions)) != p.nvars
+            or not all(0 <= k < out_nvars for k in positions)):
+        raise ValueError("embed_vars needs %d distinct positions in 0..%d, got %r"
+                         % (p.nvars, out_nvars - 1, positions))
     out = {}
     for e, c in p.terms.items():
         ne = [0] * out_nvars

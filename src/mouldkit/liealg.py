@@ -13,7 +13,6 @@ from .kernel import (
     column_rows,
     nullspace,
     rat,
-    solve_linear,
 )
 from .ncword import (
     NCPoly,
@@ -103,34 +102,46 @@ def _check_kv_input(name, w, *polys):
             raise ValueError("%s needs polynomials of weight %d" % (name, w))
 
 
-def _solve_in_span(columns, target):
-    """Coefficients c with sum c_j columns_j = target, or NoSolution."""
-    rows = column_rows([p.terms for p in columns] + [target.terms])
-    n = len(columns)
-    return solve_linear(RatMatrix.from_rows([r[:n] for r in rows], n),
-                        [r[n] for r in rows])
+def _ad_letter(a, terms):
+    """The terms of [a, p] = a p - p a for a letter a and p's terms."""
+    out = {(a,) + wd: c for wd, c in terms.items()}
+    for wd, c in terms.items():
+        out[wd + (a,)] = out.get(wd + (a,), 0) - c
+    return {k: c for k, c in out.items() if c}
 
 
 def solve_G(F, w):
     """The unique Lie G of weight w with [x,G] + [y,F] = 0, or NoSolution.
 
-    ad(x) is injective on L_w for w > 1, so the exact linear solve over the
-    Lyndon coordinates of L_w is canonical; for w <= 1 uniqueness genuinely
-    fails and the call is refused."""
+    With H = -[y, F], comparing coefficients of xG - Gx = H gives
+    G_u = H_{xu} + [u ends in x] G_{x u[:-1]}, read off H in one pass.
+    Every word of H has a y, so x^w, the one word the equation leaves free,
+    stays 0, as in every Lie element of weight w >= 2.  Two exact checks
+    decide the answer: [x, G] = H, and G reduces to 0 against the standard
+    Lyndon brackets, each of which is its Lyndon word plus greater words.
+    ad(x) is injective on L_w for w > 1, so G is canonical; for w <= 1
+    uniqueness genuinely fails and the call is refused."""
     _check_kv_input("solve_G", w, F)
-    x = NCPoly.letter(XY, "x")
-    y = NCPoly.letter(XY, "y")
-    target = -lie_bracket(y, F)
-    basis = lyndon_basis(w, XY)
-    columns = [lie_bracket(x, b) for b in basis]
-    coeffs = _solve_in_span(columns, target)
-    if isinstance(coeffs, NoSolution):
-        return coeffs
-    G = NCPoly.zero(XY)
-    for c, b in zip(coeffs, basis):
+    H = {k: -c for k, c in _ad_letter("y", F.terms).items()}
+    G = {}
+    for h, c in H.items():
+        if h[0] == "x":
+            u = h[1:]
+            for j in range(u.index("y") + 1):
+                k = u[j:] + ("x",) * j
+                G[k] = G.get(k, 0) + c
+    G = {k: c for k, c in G.items() if c}
+    if _ad_letter("x", G) != H:
+        return NoSolution("inconsistent linear system")
+    rest = dict(G)
+    for word, b in zip(lyndon_words(w, XY), lyndon_basis(w, XY)):
+        c = rest.get(word)
         if c:
-            G = G + c * b
-    return G
+            for k, e in b.terms.items():
+                rest[k] = rest.get(k, 0) - c * e
+    if any(rest.values()):
+        return NoSolution("inconsistent linear system")
+    return NCPoly._raw(XY, G)
 
 
 def kv2_check(F, G, w):

@@ -12,6 +12,7 @@
 # word length.
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import _speed as _sp
 from .kernel import rat
@@ -214,12 +215,21 @@ def is_lie(p):
 # ---------------------------------------------------------------------------
 # Lyndon words and the standard bracketing basis of the free Lie algebra.
 
+def _check_lyndon_args(name, n, alphabet):
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError("%s needs a length n >= 1, got %r" % (name, n))
+    if not alphabet:
+        raise AlphabetError("%s needs a nonempty alphabet" % name)
+    if len(set(alphabet)) != len(alphabet):
+        raise AlphabetError("%s needs distinct letters, got %r" % (name, alphabet))
+
+
 def lyndon_words(n, alphabet):
     """All Lyndon words of length exactly n over the alphabet order, in
     lexicographic order (Duval's generation)."""
     alphabet = tuple(alphabet)
+    _check_lyndon_args("lyndon_words", n, alphabet)
     k = len(alphabet)
-    assert n >= 1 and k >= 1, (n, k)
     out = []
     w = [0]
     while w:
@@ -261,10 +271,19 @@ def lyndon_bracketing(word, alphabet):
     raise AssertionError("no Lyndon factorization for %r" % (word,))
 
 
+@lru_cache(maxsize=16)
+def _lyndon_brackets(w, alphabet):
+    # one tuple per (weight, alphabet); callers only read the NCPolys
+    return tuple(lyndon_bracketing(word, alphabet) for word in lyndon_words(w, alphabet))
+
+
 def lyndon_basis(w, alphabet):
     """Standard-bracketing images of the Lyndon words of length w; the list
-    size is the Witt number."""
-    return [lyndon_bracketing(word, alphabet) for word in lyndon_words(w, alphabet)]
+    size is the Witt number.  The brackets are built once per (w, alphabet)
+    and shared between calls, each of which gets a list of its own."""
+    alphabet = tuple(alphabet)
+    _check_lyndon_args("lyndon_basis", w, alphabet)
+    return list(_lyndon_brackets(w, alphabet))
 
 
 # ---------------------------------------------------------------------------

@@ -3,24 +3,28 @@
 # rest of the pipeline leans on (homomorphism, translation invariance,
 # parity, depth compatibility).
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mouldkit.bridge
 from mouldkit.bridge import (
     CoeffTable,
     F_to_ftilde,
     ftilde_to_F,
     ma,
-    ncsubstitute,
     vimo,
 )
 from mouldkit.kernel import MultiPoly, embed_vars, substitute
 from mouldkit.liealg import dmr_basis
 from mouldkit.mould import Mould, mould_mul
 from mouldkit.ncword import (
+    AlphabetError,
     NCPoly,
     NotHomogeneous,
     homogeneous_weight,
@@ -302,6 +306,38 @@ def test_f_to_ftilde_pins():
     assert F_to_ftilde(P1) == -1 * (P1 - P2)
 
 
+# The algebra-map substitution by NCPoly products, letter by letter: the
+# reference the signed word map behind F_to_ftilde and ftilde_to_F is
+# compared against.
+def ncsubstitute(p, images):
+    """Every letter of p is replaced by its image and the words multiply out
+    noncommutatively.  All images share an alphabet, which becomes the
+    output alphabet."""
+    target = None
+    for s in p.alphabet:
+        img = images[s]
+        if target is None:
+            target = img.alphabet
+        assert img.alphabet == target, (img.alphabet, target)
+    if target is None:
+        target = p.alphabet
+    out = NCPoly.zero(target)
+    for wd, c in p.terms.items():
+        term = c * NCPoly.one(target)
+        for s in wd:
+            term = term * images[s]
+        out = out + term
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(nc_polys(max_len=7))
+def test_variable_changes_match_ncsubstitute(p):
+    # fractional coefficients, mixed weights and the empty word included
+    assert F_to_ftilde(p) == ncsubstitute(p, {"x": -1 * X + Y, "y": -1 * Y})
+    assert ftilde_to_F(p) == ncsubstitute(p, {"x": -1 * X - Y, "y": -1 * Y})
+
+
 def test_ncsubstitute_identity_and_flip():
     images = {"x": X, "y": Y}
     p = 3 * word("x", "y") - word("y") + NCPoly.one(XY)
@@ -315,3 +351,65 @@ def test_ncsubstitute_identity_and_flip():
 def test_variable_change_round_trip(p):
     assert ftilde_to_F(F_to_ftilde(p)) == p
     assert F_to_ftilde(ftilde_to_F(p)) == p
+
+
+# -- input checks, also under python -O ---------------------------------------
+
+# A non-NCPoly is a TypeError and an alphabet other than ("x", "y") an
+# AlphabetError (a ValueError), each naming the function.
+BRIDGE_CALLS = {
+    "F_to_ftilde": "bridge.F_to_ftilde(%s)",
+    "ftilde_to_F": "bridge.ftilde_to_F(%s)",
+    "ma": "bridge.ma(%s)",
+    "CoeffTable.from_poly": "bridge.CoeffTable.from_poly(%s)",
+}
+BAD_INPUTS = {
+    "int": ("3", "TypeError"),
+    "alphabet": ("NCPoly.letter(('a', 'b'), 'a')", "AlphabetError"),
+    "order": ("NCPoly.letter(('y', 'x'), 'x')", "AlphabetError"),
+}
+CASES = {
+    "%s %s" % (name, kind): call % arg
+    for name, call in BRIDGE_CALLS.items()
+    for kind, (arg, _) in BAD_INPUTS.items()
+}
+
+_RAISED = """
+import mouldkit.bridge as bridge
+from mouldkit.ncword import NCPoly
+for case, call in CASES.items():
+    try:
+        eval(call, {"bridge": bridge, "NCPoly": NCPoly})
+    except Exception as e:
+        print(case, type(e).__name__, case.split()[0] in str(e))
+    else:
+        print(case, "nothing", False)
+"""
+
+
+@pytest.fixture(scope="module")
+def raised_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", "CASES = %r\n%s" % (CASES, _RAISED)],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    out = {}
+    for line in done.stdout.splitlines():
+        name, kind, raised = line.split(" ", 2)
+        out["%s %s" % (name, kind)] = raised
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bridge_rejects_bad_input(case, raised_under_optimize):
+    name, kind = case.split()
+    error = BAD_INPUTS[kind][1]
+    expected = {"TypeError": TypeError, "AlphabetError": AlphabetError}[error]
+    with pytest.raises(expected, match=name):
+        eval(CASES[case], {"bridge": mouldkit.bridge, "NCPoly": NCPoly})
+    assert raised_under_optimize[case] == "%s True" % error

@@ -302,8 +302,9 @@ def test_solution_beyond_reconstruction_bound_falls_back_to_rref(rref_calls):
 
 
 def test_kv1_solve_runs_no_rref(rref_calls):
-    # solve_G reads G off the lifted kernel of the augmented system, both
-    # for a krv element (G exists) and for a Lie element outside krv
+    # solve_G reads G off the words of [F, y] by inverting ad(x) and then
+    # certifies it exactly, with no linear solve, both for a krv element
+    # (G exists) and for a Lie element outside krv
     XY = ("x", "y")
     x, y = NCPoly.letter(XY, "x"), NCPoly.letter(XY, "y")
     (F,) = krv_basis(7).elements()

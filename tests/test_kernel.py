@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -429,3 +432,52 @@ def test_term_kernel_module_contract():
     for name in ("add_terms", "sub_terms", "scale_terms", "mul_terms", "concat_mul_terms"):
         assert callable(getattr(_speed, name))
     assert _speed.mul_terms({(1,): Fraction(2)}, {(2,): Fraction(3)}) == {(3,): Fraction(6)}
+
+
+# -- index checks survive python -O ------------------------------------------
+
+# A variable index out of range, a repeated embedding position and a
+# non-permutation are ValueErrors that name the function, also under
+# python -O, which strips assert statements.
+INDEX_CALLS = {
+    "MultiPoly.var": "kernel.MultiPoly.var(2, -1)",
+    "embed_vars": "kernel.embed_vars(X1X2SQ, [0, 0], 2)",
+    "embed_vars range": "kernel.embed_vars(X1X2SQ, [0, 2], 2)",
+    "permute_vars": "kernel.permute_vars(X1X2SQ, [1, 1])",
+}
+
+_INDEX_RAISED = """
+import mouldkit.kernel as kernel
+X1X2SQ = kernel.MultiPoly(2, {(1, 2): 1})
+for case, call in CALLS.items():
+    try:
+        eval(call, {"kernel": kernel, "X1X2SQ": X1X2SQ})
+    except Exception as e:
+        print(case, "|", type(e).__name__, case.split()[0] in str(e))
+    else:
+        print(case, "|", "nothing", False)
+"""
+
+
+@pytest.fixture(scope="module")
+def index_raised_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", "CALLS = %r\n%s" % (INDEX_CALLS, _INDEX_RAISED)],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return dict(line.split(" | ") for line in done.stdout.splitlines())
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_CALLS))
+def test_index_arguments_are_checked(case, index_raised_under_optimize):
+    import mouldkit.kernel as kernel
+
+    scope = {"kernel": kernel, "X1X2SQ": P(2, {(1, 2): 1})}
+    with pytest.raises(ValueError, match=case.split()[0]):
+        eval(INDEX_CALLS[case], scope)
+    assert index_raised_under_optimize[case] == "ValueError True"

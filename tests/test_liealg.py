@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mouldkit.kernel import NoSolution
+from mouldkit.bridge import ftilde_to_F
+from mouldkit.kernel import NoSolution, RatMatrix, column_rows, solve_linear
 from mouldkit.liealg import (
     SubspaceBasis,
     WeightBoundError,
@@ -108,6 +109,83 @@ def test_solve_g_satisfies_kv1_when_it_succeeds(wf):
     G = solve_G(F, w)
     if not isinstance(G, NoSolution):
         assert (lie_bracket(X, G) + lie_bracket(Y, F)).is_zero()
+
+
+# -- solve_G against the linear solve it replaced ---------------------------
+
+def _solve_in_span(columns, target):
+    """Coefficients c with sum c_j columns_j = target, or NoSolution."""
+    rows = column_rows([p.terms for p in columns] + [target.terms])
+    n = len(columns)
+    return solve_linear(RatMatrix.from_rows([r[:n] for r in rows], n),
+                        [r[n] for r in rows])
+
+
+def reference_solve_G(F, w):
+    """The unique Lie G of weight w with [x,G] + [y,F] = 0, or NoSolution,
+    by an exact linear solve over the Lyndon coordinates of L_w."""
+    x = NCPoly.letter(XY, "x")
+    y = NCPoly.letter(XY, "y")
+    target = -lie_bracket(y, F)
+    basis = lyndon_basis(w, XY)
+    columns = [lie_bracket(x, b) for b in basis]
+    coeffs = _solve_in_span(columns, target)
+    if isinstance(coeffs, NoSolution):
+        return coeffs
+    G = NCPoly.zero(XY)
+    for c, b in zip(coeffs, basis):
+        if c:
+            G = G + c * b
+    return G
+
+
+def _agrees_with_reference(F, w):
+    got, want = solve_G(F, w), reference_solve_G(F, w)
+    if isinstance(want, NoSolution):
+        assert isinstance(got, NoSolution), (F, got)
+        assert got.reason == want.reason
+    else:
+        assert got == want, F
+    return not isinstance(want, NoSolution)
+
+
+@st.composite
+def kv1_inputs(draw):
+    """(w, F) with F a krv element (KV1 solvable) plus, or not, a sparse Lie
+    element, and sometimes plus non-Lie words (y^w among them, which ad(y)
+    kills)."""
+    w = draw(st.integers(2, 8))
+    coeff = st.one_of(st.just(Fraction(0)), rationals())
+    F = NCPoly.zero(XY)
+    if draw(st.booleans()):
+        for b in lyndon_basis(w, XY):
+            F = F + draw(coeff) * b
+    for e in krv_basis(w).elements():
+        F = F + draw(coeff) * e
+    words = st.lists(st.sampled_from("xy"), min_size=w, max_size=w).map(tuple)
+    for wd in draw(st.lists(st.one_of(st.just(("y",) * w), words), max_size=2)):
+        F = F + draw(rationals()) * NCPoly.from_word(XY, wd)
+    return w, F
+
+
+@settings(deadline=None, max_examples=120)
+@given(kv1_inputs())
+def test_solve_g_matches_linear_solve(wf):
+    w, F = wf
+    _agrees_with_reference(F, w)
+
+
+def test_solve_g_matches_linear_solve_on_krv_and_dmr():
+    solvable = 0
+    for w in range(3, 10):
+        bump = lyndon_basis(w, XY)[-1]
+        for F in krv_basis(w).elements() + [
+            ftilde_to_F(f) for f in dmr_basis(w).elements()
+        ]:
+            solvable += _agrees_with_reference(F, w)
+            _agrees_with_reference(F + bump, w)
+            _agrees_with_reference(F + NCPoly.from_word(XY, ("x",) * (w - 1) + ("y",)), w)
+    assert solvable == 2 * sum(krv_basis(w).dimension for w in range(3, 10))
 
 
 def test_solve_g_rejects_bad_input():

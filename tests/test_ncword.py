@@ -4,12 +4,16 @@
 # against.
 
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mouldkit.kernel import MultiPoly, RatMatrix, nullspace, substitute
+from mouldkit import ncword
 from mouldkit.mould import Mould
 from mouldkit.ncword import (
     AlphabetError,
@@ -151,6 +155,68 @@ def test_lyndon_basis_spans_w5():
     entries = [[coefficient(p, tuple(w)) for w in words] for p in basis]
     m = RatMatrix.from_rows(entries, len(words))
     assert m.cols - len(nullspace(m)) == 6
+
+
+def test_lyndon_basis_memo_hands_out_fresh_lists():
+    first = lyndon_basis(6, XY)
+    second = lyndon_basis(6, XY)
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    first.append(NCPoly.zero(XY))
+    third = lyndon_basis(6, XY)
+    assert len(third) == witt_dimension(6, 2)
+    assert third == [lyndon_bracketing(wd, XY) for wd in lyndon_words(6, XY)]
+
+
+# A length below 1, an empty alphabet and a repeated letter are ValueErrors
+# that name the function, raised before the memo is looked at, also under
+# python -O.
+LYNDON_CALLS = {
+    "lyndon_words n=0": "ncword.lyndon_words(0, ('x', 'y'))",
+    "lyndon_words empty": "ncword.lyndon_words(2, ())",
+    "lyndon_words repeated": "ncword.lyndon_words(2, ('x', 'x'))",
+    "lyndon_basis n=0": "ncword.lyndon_basis(0, ('x', 'y'))",
+    "lyndon_basis n=-1": "ncword.lyndon_basis(-1, ('x', 'y'))",
+    "lyndon_basis empty": "ncword.lyndon_basis(2, ())",
+    "lyndon_basis repeated": "ncword.lyndon_basis(2, ('x', 'x'))",
+}
+
+_RAISED = """
+import mouldkit.ncword as ncword
+for case, call in CALLS.items():
+    before = ncword._lyndon_brackets.cache_info()
+    try:
+        eval(call, {"ncword": ncword})
+    except Exception as e:
+        print(case, "|", isinstance(e, ValueError), case.split()[0] in str(e),
+              ncword._lyndon_brackets.cache_info() == before)
+    else:
+        print(case, "|", "nothing")
+"""
+
+
+@pytest.fixture(scope="module")
+def lyndon_raised_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", "CALLS = %r\n%s" % (LYNDON_CALLS, _RAISED)],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return dict(line.split(" | ") for line in done.stdout.splitlines())
+
+
+@pytest.mark.parametrize("case", sorted(LYNDON_CALLS))
+def test_lyndon_rejects_bad_arguments(case, lyndon_raised_under_optimize):
+    before = ncword._lyndon_brackets.cache_info()
+    with pytest.raises(ValueError, match=case.split()[0]):
+        eval(LYNDON_CALLS[case], {"ncword": ncword})
+    assert ncword._lyndon_brackets.cache_info() == before
+    assert lyndon_raised_under_optimize[case] == "True True True"
 
 
 # --------------------------------------------------------------------------
