@@ -104,8 +104,7 @@ class CoeffTable:
 def vimo(h, r):
     """The commutative image of the depth-r part of h: the word
     x^{e_0} y ... y x^{e_r} contributes a_e z_0^{e_0} ... z_r^{e_r}."""
-    if not isinstance(h, NCPoly):
-        raise TypeError("vimo needs an NCPoly, got %s" % type(h).__name__)
+    _check_xy(h, "vimo")
     if not (isinstance(r, int) and r >= 0):
         raise ValueError("vimo depth must be a nonnegative int, got %r" % (r,))
     if h.is_zero():

@@ -361,6 +361,7 @@ BRIDGE_CALLS = {
     "F_to_ftilde": "bridge.F_to_ftilde(%s)",
     "ftilde_to_F": "bridge.ftilde_to_F(%s)",
     "ma": "bridge.ma(%s)",
+    "vimo": "bridge.vimo(%s, 1)",
     "CoeffTable.from_poly": "bridge.CoeffTable.from_poly(%s)",
 }
 BAD_INPUTS = {
@@ -381,9 +382,9 @@ for case, call in CASES.items():
     try:
         eval(call, {"bridge": bridge, "NCPoly": NCPoly})
     except Exception as e:
-        print(case, type(e).__name__, case.split()[0] in str(e))
+        print(case, "|", type(e).__name__, case.split()[0] in str(e))
     else:
-        print(case, "nothing", False)
+        print(case, "|", "nothing", False)
 """
 
 
@@ -398,11 +399,7 @@ def raised_under_optimize():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    out = {}
-    for line in done.stdout.splitlines():
-        name, kind, raised = line.split(" ", 2)
-        out["%s %s" % (name, kind)] = raised
-    return out
+    return dict(line.split(" | ") for line in done.stdout.splitlines())
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
