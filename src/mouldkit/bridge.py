@@ -4,7 +4,7 @@
 from fractions import Fraction
 from math import lcm
 
-from .kernel import MultiPoly, rat, substitute
+from .kernel import MultiPoly, substitute
 from .mould import Mould
 from .ncword import AlphabetError, NCPoly, _weight_parts, homogeneous_weight
 
@@ -56,49 +56,8 @@ def _word_exponents(wd):
         if s == "x":
             runs[-1] += 1
         else:
-            assert s == "y", s
             runs.append(0)
     return tuple(runs)
-
-
-class CoeffTable:
-    """Depth-indexed coefficient view of a homogeneous polynomial: by_depth
-    maps r to {(e_0..e_r): a_e} over the words with exactly r letters y."""
-
-    __slots__ = ("weight", "by_depth")
-
-    def __init__(self, weight, by_depth):
-        self.weight = weight
-        self.by_depth = {}
-        for r, table in by_depth.items():
-            clean = {}
-            for e, c in table.items():
-                e = tuple(e)
-                if len(e) != r + 1 or sum(e) != weight - r:
-                    raise ValueError(
-                        "depth %d exponents %r need length %d and sum %d"
-                        % (r, e, r + 1, weight - r)
-                    )
-                c = rat(c)
-                if c:
-                    clean[e] = c
-            if clean:
-                self.by_depth[r] = clean
-
-    @classmethod
-    def from_poly(cls, h):
-        _check_xy(h, "CoeffTable.from_poly")
-        if h.is_zero():
-            raise ValueError("CoeffTable.from_poly needs a nonzero polynomial")
-        w = homogeneous_weight(h)
-        by_depth = {}
-        for wd, c in h.terms.items():
-            e = _word_exponents(wd)
-            by_depth.setdefault(len(e) - 1, {})[e] = c
-        return cls(w, by_depth)
-
-    def depths(self):
-        return sorted(self.by_depth)
 
 
 def vimo(h, r):
@@ -112,15 +71,18 @@ def vimo(h, r):
     w = homogeneous_weight(h)
     if r > w:
         raise ValueError("vimo depth %d exceeds the weight %d" % (r, w))
-    table = CoeffTable.from_poly(h)
-    return MultiPoly(r + 1, table.by_depth.get(r, {}))
+    return MultiPoly._raw(r + 1, {_word_exponents(wd): c
+                                  for wd, c in h.terms.items() if wd.count("y") == r})
 
 
 def _ma_homogeneous(h, w):
+    by_depth = {}
+    for wd, c in h.terms.items():
+        e = _word_exponents(wd)
+        by_depth.setdefault(len(e) - 1, {})[e] = c
     comps = [Fraction(0)]
-    table = CoeffTable.from_poly(h)
     for r in range(1, w + 1):
-        poly = MultiPoly(r + 1, table.by_depth.get(r, {}))
+        poly = MultiPoly._raw(r + 1, by_depth.get(r, {}))
         # z_0 = 0, z_k = u_1 + ... + u_k
         forms = [(0,) * r]
         for k in range(1, r + 1):

@@ -20,10 +20,10 @@
 # where needed by one substitute that puts a and b in place; no long
 # division runs.
 #
-# Linear algebra (nullspace, solve_linear) is one kernel computation,
-# _kernel, which starts from a screen.  Each row is scaled to integers, and a
-# streaming elimination mod the prime p = 2^61 - 1 picks at most cols rows
-# that are independent mod p, hence independent over Q, while it keeps the
+# Linear algebra (nullspace) is one kernel computation, _kernel, which
+# starts from a screen.  Each row is scaled to integers, and a streaming
+# elimination mod the prime p = 2^61 - 1 picks at most cols rows that are
+# independent mod p, hence independent over Q, while it keeps the
 # null space mod p of the rows picked so far.  Every unpicked row lies in
 # their span mod p, so that is also the null space mod p of all rows.  No
 # mod-p value is ever returned unchecked.
@@ -52,12 +52,6 @@
 # Fraction RREF runs on the picked rows, its answer is certified the same
 # way, and if that fails too (an unlucky prime) the RREF runs on all rows.
 #
-# solve_linear(A, b) is the kernel of [A | b]: b is in the column span of A
-# iff column n (the rhs) is free.  An RREF kernel vector is supported on pivot
-# columns left of its own free column, so only the last one, of free column
-# n, can be nonzero on column n, and it is 0 on the other free columns:
-# x = -v[:n] / v[n] is the solution with free variables 0.
-
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -206,7 +200,8 @@ class MultiPoly:
         return self.__mul__(other)
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0, n
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("MultiPoly power needs an int n >= 0, got %r" % (n,))
         out = MultiPoly.const(self.nvars, 1)
         for _ in range(n):
             out = out * self
@@ -637,19 +632,4 @@ def nullspace(mat):
     order), scaled to primitive integer form.  rank + len(basis) = cols."""
     _check_matrix(mat)
     return _kernel(mat.entries, mat.cols)
-
-
-def solve_linear(mat, rhs):
-    """One exact solution of mat * x = rhs (free variables set to 0), or
-    NoSolution.  rhs is a sequence of Fractions of length mat.rows."""
-    _check_matrix(mat)
-    if len(rhs) != mat.rows:
-        raise ValueError("rhs has %d entries for %d rows" % (len(rhs), mat.rows))
-    n = mat.cols
-    basis = _kernel([row + [rat(b)] for row, b in zip(mat.entries, rhs)], n + 1)
-    # only the vector of free column n can be nonzero on column n
-    if not basis or not basis[-1][n]:
-        return NoSolution("inconsistent linear system")
-    v = basis[-1]
-    return [-c / v[n] for c in v[:n]]
 

@@ -53,8 +53,9 @@ class NCPoly:
 
     def __init__(self, alphabet, terms=None):
         alphabet = tuple(alphabet)
-        assert len(set(alphabet)) == len(alphabet), alphabet
         ok = set(alphabet)
+        if len(ok) != len(alphabet):
+            raise AlphabetError("NCPoly needs distinct letters, got %r" % (alphabet,))
         out = {}
         for w, c in (terms or {}).items():
             w = tuple(w)
@@ -131,7 +132,8 @@ class NCPoly:
         return NCPoly._raw(self.alphabet, _sp.scale_terms(self.terms, rat(other)))
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0, n
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("NCPoly power needs an int n >= 0, got %r" % (n,))
         out = NCPoly.one(self.alphabet)
         for _ in range(n):
             out = out * self
@@ -260,7 +262,8 @@ def lyndon_bracketing(word, alphabet):
     alphabet = tuple(alphabet)
     word = tuple(word)
     index = {a: i for i, a in enumerate(alphabet)}
-    assert _is_lyndon(word, index), word
+    if not _is_lyndon(word, index):
+        raise ValueError("lyndon_bracketing needs a Lyndon word, got %r" % (word,))
     if len(word) == 1:
         return NCPoly.letter(alphabet, word[0])
     for i in range(1, len(word)):
@@ -298,7 +301,9 @@ def anti(p):
 def scale_letter(p, sym, c):
     """Rescale every word by c to the power of its sym-letter count."""
     assert isinstance(p, NCPoly), p
-    assert sym in p.alphabet, sym
+    if sym not in p.alphabet:
+        raise AlphabetError("scale_letter: %r is not in the alphabet %r"
+                            % (sym, p.alphabet))
     c = Fraction(c)
     out = {}
     for word, k in p.terms.items():

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from .bridge import XY, ma
 from .kernel import (
     MultiPoly,
     NoSolution,
@@ -32,6 +33,7 @@ from .mould import (
     swap,
     u_component,
 )
+from .ncword import lyndon_basis
 
 
 class AlternilityCertificate:
@@ -285,66 +287,63 @@ def in_ari_al_star_il(mo):
 # ---------------------------------------------------------------------------
 # graded solution spaces at fixed weight
 #
-# The ambient space of weight-w moulds: depth r carries the monomials of
-# degree w - r in r variables, so dim = sum_r binom(w-1, r-1) = 2^(w-1).
+# The unknowns are Lie coordinates.  ma maps L_w, the weight-w part of the
+# free Lie algebra on x, y, one to one onto the alternal polynomial moulds of
+# weight w for every w >= 2 (Schneps, "ARI, GARI, Zig and Zag",
+# arXiv:1507.01534), so the images of the Lyndon brackets of weight w are a
+# basis of that space: Witt(w) columns instead of the 2^(w-1) monomial moulds
+# of weight w, and no alternality rows.  At w = 1, ma(x) = 0, so w >= 2.
+# Before it solves, _lie_columns certifies the two facts it relies on at the
+# weight in hand: every column is alternal, and the columns are independent
+# (one null space over their components, depth by depth, is empty).  After
+# that each solver imposes only the conditions on the swap side.
 
-def _monomials(total, nvars):
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _monomials(total - first, nvars - 1):
-            yield (first,) + rest
-
-
-def weight_mould_basis(w):
-    """Deterministic basis of the weight-w ambient mould space."""
-    assert w >= 1, w
-    out = []
-    for r in range(1, w + 1):
-        for e in sorted(_monomials(w - r, r)):
-            out.append(Mould.from_components(w, {r: {e: Fraction(1)}}))
-    return out
+def _lie_columns(w, name):
+    """The ma images of lyndon_basis(w, XY), certified alternal and
+    independent."""
+    if not isinstance(w, int) or w < 2:
+        raise ValueError("%s needs a weight w >= 2, got %r" % (name, w))
+    basis = [ma(b) for b in lyndon_basis(w, XY)]
+    for j, b in enumerate(basis):
+        if alternal_witness(b) is not None:
+            raise ArithmeticError("%s: Lie column %d of weight %d is not alternal"
+                                  % (name, j, w))
+    rows = []
+    for m in range(1, w + 1):
+        rows.extend(column_rows([b.component(m).terms for b in basis]))
+    if nullspace(RatMatrix.from_rows(rows, len(basis))):
+        raise ArithmeticError("%s: the Lie columns of weight %d are dependent"
+                              % (name, w))
+    return basis
 
 
 def _nullspace_moulds(basis, rows, ncols):
-    vecs = nullspace(RatMatrix.from_rows(rows, ncols))
     out = []
-    for v in vecs:
-        mo = Mould.zero(basis[0].depth if basis else 0)
-        nonzero = False
+    for v in nullspace(RatMatrix.from_rows(rows, ncols)):
+        mo = Mould.zero(basis[0].depth)
         for j, b in enumerate(basis):
             if v[j]:
                 mo = mo + v[j] * b
-                nonzero = True
-        if nonzero:
-            out.append(mo)
+        out.append(mo)
     return out
 
 
-def ari_alil_space(w, fil2=False):
+def ari_alil_space(w):
     """Basis of the weight-w moulds that are alternal with swap alternil up
     to a constant mould.  The unknown constants C_2..C_w ride along as extra
     columns of the joint linear system and are projected away at the end
     (the projection is injective: M = 0 forces every C_m = 0)."""
-    basis = weight_mould_basis(w)
-    if fil2:
-        basis = [b for b in basis if b.component(1).is_zero()]
-    nconst = max(0, w - 1)
+    basis = _lie_columns(w, "ari_alil_space")
+    nconst = w - 1
     swaps = [swap(b) for b in basis]
     rows = []
     for m in range(2, w + 1):
         for p in range(1, m):
-            q = m - p
-            al = [alternality_defect(b, p, q).terms for b in basis]
-            rows.extend(column_rows(al + [{}] * nconst))
             # C_m adds binom(m, p) to the constant term of the (p, q) sum
             consts = [{}] * nconst
             consts[m - 2] = {(0,) * m: Fraction(comb(m, p))}
-            il = [alternility_defect(s, p, q).terms for s in swaps]
+            il = [alternility_defect(s, p, m - p).terms for s in swaps]
             rows.extend(column_rows(il + consts))
-    # the projection to the mould coordinates is injective: M = 0 forces
-    # each C_m = 0 through the constant rows, so no solution is dropped
     return _nullspace_moulds(basis, rows, len(basis) + nconst)
 
 
@@ -352,13 +351,9 @@ def ari_sena_pusnu_space(w):
     """Basis of the weight-w moulds that are alternal, satisfy the senary
     relation for every r, and have pus-neutral swap.  Pus-neutrality at
     depth 1 forces M^1 = 0, so this space sits inside Fil^2 automatically."""
-    basis = weight_mould_basis(w)
+    basis = _lie_columns(w, "ari_sena_pusnu_space")
     swaps = [swap(b) for b in basis]
     rows = []
-    for m in range(2, w + 1):
-        for p in range(1, m):
-            rows.extend(column_rows(
-                [alternality_defect(b, p, m - p).terms for b in basis]))
     for r in range(1, w + 1):
         rows.extend(column_rows([senary_defect(b, r).terms for b in basis]))
     for m in range(1, w + 1):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import mouldkit.bridge
 from mouldkit.bridge import (
-    CoeffTable,
     F_to_ftilde,
     ftilde_to_F,
     ma,
@@ -99,15 +98,11 @@ def test_vimo_depth_beyond_weight_raises():
 
 
 def test_coeff_table():
-    t = CoeffTable.from_poly(word("x", "y") + 2 * word("x", "x"))
-    assert t.weight == 2
-    assert t.depths() == [0, 1]
-    assert t.by_depth[0] == {(2,): Fraction(2)}
-    assert t.by_depth[1] == {(1, 0): Fraction(1)}
-    with pytest.raises(ValueError):
-        CoeffTable(2, {1: {(1, 1): Fraction(1)}})  # exponent sum != w - r
-    with pytest.raises(ValueError):
-        CoeffTable(2, {1: {(1,): Fraction(1)}})  # r + 1 exponents needed
+    # vimo reads the coefficient table of h one depth at a time
+    h = word("x", "y") + 2 * word("x", "x")
+    assert vimo(h, 0).terms == {(2,): Fraction(2)}
+    assert vimo(h, 1).terms == {(1, 0): Fraction(1)}
+    assert vimo(h, 2).is_zero()
 
 
 # --- ma ---------------------------------------------------------------------
@@ -362,7 +357,6 @@ BRIDGE_CALLS = {
     "ftilde_to_F": "bridge.ftilde_to_F(%s)",
     "ma": "bridge.ma(%s)",
     "vimo": "bridge.vimo(%s, 1)",
-    "CoeffTable.from_poly": "bridge.CoeffTable.from_poly(%s)",
 }
 BAD_INPUTS = {
     "int": ("3", "TypeError"),

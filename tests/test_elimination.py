@@ -1,12 +1,13 @@
 """Differential tests for the certified kernel path of kernel.py.
 
-nullspace and solve_linear (the kernel of the augmented rows) screen rows
-mod p = 2^61 - 1, lift the null space mod p by rational reconstruction or
-else run the exact RREF on the rows they pick, and certify the answer
-against every row.  The reference below is the full-RREF implementation
-they replaced, kept verbatim; every case must agree with it exactly,
-including the cases built so that the prime is unlucky and the certificate
-has to fail."""
+nullspace screens rows mod p = 2^61 - 1, lifts the null space mod p by
+rational reconstruction or else runs the exact RREF on the rows it picks,
+and certifies the answer against every row.  solve_linear below is one
+nullspace call on the augmented rows [A | b]; its systems reach the
+certificate through a right-hand side.  The references are the full-RREF
+implementation the kernel replaced, kept verbatim; every case must agree
+with them exactly, including the cases built so that the prime is unlucky
+and the certificate has to fail."""
 
 import random
 import subprocess
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from mouldkit import kernel
-from mouldkit.kernel import NoSolution, RatMatrix, nullspace, solve_linear
+from mouldkit.kernel import NoSolution, RatMatrix, nullspace
 from mouldkit.liealg import krv_basis, solve_G
 from mouldkit.ncword import NCPoly, lie_bracket, lyndon_basis
 
@@ -109,6 +110,20 @@ def reference_solve_linear(mat, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = aug[r][mat.cols]
     return x
+
+
+def solve_linear(mat, rhs):
+    """One exact solution of mat * x = rhs (free variables set to 0), or
+    NoSolution, from the kernel of [mat | rhs].  b is in the column span iff
+    column n is free, and only the RREF kernel vector of free column n can be
+    nonzero on column n: x = -v[:n] / v[n]."""
+    n = mat.cols
+    aug = [row + [Fraction(b)] for row, b in zip(mat.entries, rhs)]
+    basis = nullspace(RatMatrix(mat.rows, n + 1, aug))
+    if not basis or not basis[-1][n]:
+        return NoSolution("inconsistent linear system")
+    v = basis[-1]
+    return [-c / v[n] for c in v[:n]]
 
 
 # -- random systems ---------------------------------------------------------
@@ -333,25 +348,13 @@ def test_nullspace_rejects_non_matrix():
         nullspace([[1, 2]])
 
 
-def test_solve_linear_rejects_non_matrix():
-    with pytest.raises(TypeError):
-        solve_linear([[1, 2]], [1])
-
-
-def test_solve_linear_rejects_wrong_rhs_length():
-    with pytest.raises(ValueError):
-        solve_linear(RatMatrix(2, 1, [[1], [2]]), [Fraction(1)])
-
-
 def test_validation_is_kept_under_optimize():
     src = Path(kernel.__file__).resolve().parents[1]
     script = (
-        "from mouldkit.kernel import RatMatrix, nullspace, solve_linear\n"
+        "from mouldkit.kernel import RatMatrix, nullspace\n"
         "checks = [lambda: RatMatrix(2, 1, [[1]]),\n"
         "          lambda: RatMatrix(1, 2, [[1]]),\n"
-        "          lambda: nullspace([[1]]),\n"
-        "          lambda: solve_linear([[1]], [1]),\n"
-        "          lambda: solve_linear(RatMatrix(1, 1, [[1]]), [])]\n"
+        "          lambda: nullspace([[1]])]\n"
         "for check in checks:\n"
         "    try:\n"
         "        check()\n"

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from mouldkit.kernel import (
     MultiPoly,
-    NoSolution,
     NotDivisible,
     MalformedSubstitution,
     RatMatrix,
@@ -19,7 +18,6 @@ from mouldkit.kernel import (
     nullspace,
     permute_vars,
     rat,
-    solve_linear,
     substitute,
 )
 
@@ -371,23 +369,26 @@ def test_nullspace_without_rows_is_every_unit_vector():
     assert basis == [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
 
 
+# A system A x = b is solved by the kernel of [A | b]: b is in the column
+# span iff the last column is free, and the kernel vector v of that column
+# holds the solution with free variables 0, x = -v[:n] / v[n].
+
 def test_solve_linear():
-    m = RatMatrix(2, 2, [[1, 1], [1, -1]])
-    sol = solve_linear(m, [Fraction(3), Fraction(1)])
-    assert sol == [Fraction(2), Fraction(1)]
+    # x + y = 3, x - y = 1
+    m = RatMatrix(2, 3, [[1, 1, 3], [1, -1, 1]])
+    assert nullspace(m) == [(Fraction(2), Fraction(1), Fraction(-1))]
 
 
 def test_solve_linear_inconsistent():
-    m = RatMatrix(2, 1, [[1], [1]])
-    sol = solve_linear(m, [Fraction(0), Fraction(1)])
-    assert isinstance(sol, NoSolution)
+    # x = 0, x = 1: the last column is a pivot column
+    m = RatMatrix(2, 2, [[1, 0], [1, 1]])
+    assert nullspace(m) == []
 
 
 def test_solve_linear_underdetermined():
-    # free variable pinned to zero, result still a genuine solution
-    m = RatMatrix(1, 2, [[1, 1]])
-    sol = solve_linear(m, [Fraction(5)])
-    assert sol == [Fraction(5), Fraction(0)]
+    # x + y = 5: the free variable y is 0 in the last vector, x = 5
+    m = RatMatrix(1, 3, [[1, 1, 5]])
+    assert nullspace(m)[-1] == (Fraction(5), Fraction(0), Fraction(-1))
 
 
 @st.composite

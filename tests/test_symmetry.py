@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 import mouldkit.mould
 import mouldkit.symmetry
-from mouldkit.kernel import MultiPoly, NoSolution
+from mouldkit import cli
+from mouldkit.kernel import MultiPoly, NoSolution, RatMatrix, column_rows, nullspace
 from mouldkit.mould import (
     ConstantMould,
     Mould,
     is_pus_neutral,
     mantar,
+    pus_sum,
     push,
     swap,
     teru,
@@ -28,9 +31,9 @@ from mouldkit.symmetry import (
     in_ari_al_star_il,
     in_ari_sena_pusnu,
     is_alternal,
+    senary_defect,
     senary_eq41_holds,
     senary_holds,
-    weight_mould_basis,
 )
 
 
@@ -260,6 +263,88 @@ def test_in_ari_al_star_il_pins():
 
 
 # -- graded spaces -----------------------------------------------------------
+#
+# The reference solves the same conditions over the monomial moulds of weight
+# w (depth r carries the monomials of degree w - r in r variables, 2^(w-1) in
+# all) and imposes alternality as rows of its own.
+
+
+def _monomials(total, nvars):
+    if nvars == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _monomials(total - first, nvars - 1):
+            yield (first,) + rest
+
+
+def weight_mould_basis(w):
+    """Deterministic basis of the weight-w monomial moulds."""
+    out = []
+    for r in range(1, w + 1):
+        for e in sorted(_monomials(w - r, r)):
+            out.append(Mould.from_components(w, {r: {e: Fraction(1)}}))
+    return out
+
+
+def _combinations(basis, vectors):
+    out = []
+    for v in vectors:
+        mo = Mould.zero(basis[0].depth)
+        for c, b in zip(v, basis):
+            if c:
+                mo = mo + c * b
+        out.append(mo)
+    return out
+
+
+def _alternality_rows(basis, w):
+    rows = []
+    for m in range(2, w + 1):
+        for p in range(1, m):
+            rows.extend(column_rows(
+                [alternality_defect(b, p, m - p).terms for b in basis]))
+    return rows
+
+
+def reference_ari_alil_space(w, fil2=False):
+    basis = weight_mould_basis(w)
+    if fil2:
+        basis = [b for b in basis if b.component(1).is_zero()]
+    nconst = w - 1
+    swaps = [swap(b) for b in basis]
+    rows = [row + [0] * nconst for row in _alternality_rows(basis, w)]
+    for m in range(2, w + 1):
+        for p in range(1, m):
+            consts = [{}] * nconst
+            consts[m - 2] = {(0,) * m: Fraction(comb(m, p))}
+            il = [alternility_defect(s, p, m - p).terms for s in swaps]
+            rows.extend(column_rows(il + consts))
+    vecs = nullspace(RatMatrix.from_rows(rows, len(basis) + nconst))
+    return _combinations(basis, vecs)
+
+
+def reference_ari_sena_pusnu_space(w):
+    basis = weight_mould_basis(w)
+    swaps = [swap(b) for b in basis]
+    rows = _alternality_rows(basis, w)
+    for r in range(1, w + 1):
+        rows.extend(column_rows([senary_defect(b, r).terms for b in basis]))
+    for m in range(1, w + 1):
+        rows.extend(column_rows([pus_sum(s, m).terms for s in swaps]))
+    return _combinations(basis, nullspace(RatMatrix.from_rows(rows, len(basis))))
+
+
+def depth1_vanishing(sols):
+    """A basis of the combinations of sols whose depth-1 component vanishes."""
+    rows = column_rows([s.component(1).terms for s in sols])
+    return _combinations(sols, nullspace(RatMatrix.from_rows(rows, len(sols))))
+
+
+def _rank(moulds):
+    cols = [{(m, e): c for m in range(1, mo.depth + 1)
+             for e, c in mo.component(m).terms.items()} for mo in moulds]
+    return len(cols) - len(nullspace(RatMatrix.from_rows(column_rows(cols), len(cols))))
 
 
 def test_weight_basis_dimensions():
@@ -275,6 +360,34 @@ def test_weight_basis_is_weight_homogeneous():
                 assert comp.degree() == 4 - m
 
 
+@pytest.mark.parametrize("w", range(2, 9))
+def test_graded_spaces_span_the_monomial_reference(w):
+    # both sets are bases, so one rank equal to both sizes makes the spans equal
+    alil = ari_alil_space(w)
+    pairs = {
+        "alil": (alil, reference_ari_alil_space(w)),
+        "alil fil2": (depth1_vanishing(alil), reference_ari_alil_space(w, fil2=True)),
+        "sena pusnu": (ari_sena_pusnu_space(w), reference_ari_sena_pusnu_space(w)),
+    }
+    for name, (new, ref) in pairs.items():
+        assert _rank(new + ref) == len(new) == len(ref), (name, len(new), len(ref))
+
+
+def test_failed_column_certificate_raises(monkeypatch, capsys):
+    # a column that is not alternal, then the same Lie column twice
+    monkeypatch.setattr(mouldkit.symmetry, "ma", lambda h: Mo(3, {2: {(1, 0): 1}}))
+    with pytest.raises(ArithmeticError, match="not alternal"):
+        ari_alil_space(3)
+    monkeypatch.undo()
+    twice = mouldkit.symmetry.lyndon_basis(3, ("x", "y"))[:1] * 2
+    monkeypatch.setattr(mouldkit.symmetry, "lyndon_basis", lambda w, a: twice)
+    with pytest.raises(ArithmeticError, match="dependent"):
+        ari_sena_pusnu_space(3)
+    # an internal error, not a failed check
+    assert cli.main(["paper-suite", "--max-weight", "3"]) == 3
+    assert "dependent" in capsys.readouterr().err
+
+
 def test_ari_alil_space_weight3():
     sols = ari_alil_space(3)
     assert len(sols) == 1
@@ -284,10 +397,6 @@ def test_ari_alil_space_weight3():
     assert c != 0
     assert sol == c * dmr3_mould() or sol == (-c) * dmr3_mould()
     assert in_ari_al_star_il(sol)
-
-
-def test_ari_alil_space_weight3_fil2_empty():
-    assert ari_alil_space(3, fil2=True) == []
 
 
 def test_ari_sena_pusnu_space_weight3_empty():

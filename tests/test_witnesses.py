@@ -32,6 +32,7 @@ from mouldkit.liealg import (
 )
 from mouldkit.mould import Mould, is_pus_neutral, pus_sum, pusnu_witness
 from mouldkit.ncword import (
+    AlphabetError,
     NCPoly,
     NotHomogeneous,
     coefficient,
@@ -39,9 +40,16 @@ from mouldkit.ncword import (
     is_lie,
     lie_bracket,
     lyndon_basis,
+    lyndon_bracketing,
     scale_letter,
 )
-from mouldkit.symmetry import alternal_witness, alternality_defect, is_alternal
+from mouldkit.symmetry import (
+    alternal_witness,
+    alternality_defect,
+    ari_alil_space,
+    ari_sena_pusnu_space,
+    is_alternal,
+)
 
 XY = ("x", "y")
 X = NCPoly.letter(XY, "x")
@@ -393,7 +401,13 @@ BAD_INPUT = [
     (TypeError, lambda: pus_sum([0], 1)),
     (TypeError, lambda: is_pus_neutral(None)),
     (ValueError, lambda: bridge.vimo(NCPoly.from_word(XY, ("x", "y")), 3)),
-    (ValueError, lambda: bridge.CoeffTable(2, {1: {(1, 1): 1}})),
+    (AlphabetError, lambda: NCPoly(("x", "x"), {("x",): 1})),
+    (ValueError, lambda: lyndon_bracketing(("y", "x"), XY)),
+    (AlphabetError, lambda: scale_letter(P1, "z", 5)),
+    (ValueError, lambda: MultiPoly.var(1, 0) ** -1),
+    (ValueError, lambda: P1 ** -2),
+    (ValueError, lambda: ari_alil_space(1)),
+    (ValueError, lambda: ari_sena_pusnu_space(1)),
 ]
 
 
@@ -406,14 +420,23 @@ def test_bad_input_raises(error, call):
 def test_bad_input_raises_under_optimize():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        "from mouldkit.bridge import CoeffTable, vimo\n"
+        "from mouldkit.bridge import vimo\n"
+        "from mouldkit.kernel import MultiPoly\n"
         "from mouldkit.liealg import dmr_witness, is_krv\n"
         "from mouldkit.mould import pus_sum\n"
-        "from mouldkit.ncword import NCPoly\n"
-        "from mouldkit.symmetry import is_alternal\n"
+        "from mouldkit.ncword import (AlphabetError, NCPoly, lyndon_bracketing,\n"
+        "                             scale_letter)\n"
+        "from mouldkit.symmetry import (ari_alil_space, ari_sena_pusnu_space,\n"
+        "                               is_alternal)\n"
         "xy = NCPoly.from_word(('x', 'y'), ('x', 'y'))\n"
         "checks = [(ValueError, lambda: vimo(xy, 3)),\n"
-        "          (ValueError, lambda: CoeffTable(2, {1: {(1, 1): 1}})),\n"
+        "          (AlphabetError, lambda: NCPoly(('x', 'x'), {('x',): 1})),\n"
+        "          (ValueError, lambda: lyndon_bracketing(('y', 'x'), ('x', 'y'))),\n"
+        "          (AlphabetError, lambda: scale_letter(xy, 'z', 5)),\n"
+        "          (ValueError, lambda: MultiPoly.var(1, 0) ** -1),\n"
+        "          (ValueError, lambda: xy ** -2),\n"
+        "          (ValueError, lambda: ari_alil_space(1)),\n"
+        "          (ValueError, lambda: ari_sena_pusnu_space(1)),\n"
         "          (ValueError, lambda: is_krv(xy, 1)),\n"
         "          (TypeError, lambda: dmr_witness('xy', 2)),\n"
         "          (TypeError, lambda: is_alternal(None)),\n"
