@@ -6,17 +6,7 @@ from math import lcm
 
 from .kernel import MultiPoly, substitute
 from .mould import Mould
-from .ncword import AlphabetError, NCPoly, _weight_parts, homogeneous_weight
-
-XY = ("x", "y")
-
-
-def _check_xy(p, name):
-    """Refuse anything but an NCPoly over the alphabet ("x", "y")."""
-    if not isinstance(p, NCPoly):
-        raise TypeError("%s needs an NCPoly, got %s" % (name, type(p).__name__))
-    if p.alphabet != XY:
-        raise AlphabetError("%s needs the alphabet %r, got %r" % (name, XY, p.alphabet))
+from .ncword import XY, NCPoly, _check_xy, _weight_parts, homogeneous_weight
 
 
 def _signed_word_map(p, y_sign):

@@ -2,7 +2,8 @@
 # multivariate polynomials and exact linear algebra over Q.
 #
 # Every linear system in the package is "polynomials as matrix columns":
-# column_rows turns a list of term dicts into the rows of that matrix.
+# RatMatrix takes blocks of term dicts, one per unknown, and keeps one
+# sparse integer row per key of each block's support.
 #
 # Everything here is immutable after construction and every operation is a
 # pure function, so values can be shared and reused freely.  No floating
@@ -21,12 +22,12 @@
 # division runs.
 #
 # Linear algebra (nullspace) is one kernel computation, _kernel, which
-# starts from a screen.  Each row is scaled to integers, and a streaming
-# elimination mod the prime p = 2^61 - 1 picks at most cols rows that are
-# independent mod p, hence independent over Q, while it keeps the
-# null space mod p of the rows picked so far.  Every unpicked row lies in
-# their span mod p, so that is also the null space mod p of all rows.  No
-# mod-p value is ever returned unchecked.
+# starts from a screen on those integer rows.  A streaming elimination mod
+# the prime p = 2^61 - 1, reading only the nonzeros of each row, picks at
+# most cols rows that are independent mod p, hence independent over Q,
+# while it keeps the null space mod p of the rows picked so far.  Every
+# unpicked row lies in their span mod p, so that is also the null space mod
+# p of all rows.  No mod-p value is ever returned unchecked.
 #
 # _kernel lifts that null space to Q without any Fraction elimination.
 # The basis mod p is brought to RREF-kernel shape, taking pivots from the
@@ -51,10 +52,10 @@
 # If an entry does not reconstruct or the certificate fails, the exact
 # Fraction RREF runs on the picked rows, its answer is certified the same
 # way, and if that fails too (an unlucky prime) the RREF runs on all rows.
+# That RREF is the only place a system is ever dense.
 #
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 from . import _speed as _sp
 
@@ -148,23 +149,6 @@ class MultiPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return all(not any(e) for e in self.terms)
-
-    def constant_value(self):
-        assert self.is_constant(), self
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
-    def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -177,14 +161,24 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
+    def _refuse(self, other, op):
+        """Raise for an operand of + - * that is not a MultiPoly in as many
+        variables."""
+        if not isinstance(other, MultiPoly):
+            raise TypeError("MultiPoly %s needs a MultiPoly, got %s"
+                            % (op, type(other).__name__))
+        if self.nvars != other.nvars:
+            raise ValueError("MultiPoly %s of %d and %d variables"
+                             % (op, self.nvars, other.nvars))
+
     def __add__(self, other):
-        assert isinstance(other, MultiPoly), other
-        assert self.nvars == other.nvars, (self.nvars, other.nvars)
+        if not isinstance(other, MultiPoly) or other.nvars != self.nvars:
+            self._refuse(other, "+")
         return MultiPoly._raw(self.nvars, _sp.add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
-        assert isinstance(other, MultiPoly), other
-        assert self.nvars == other.nvars, (self.nvars, other.nvars)
+        if not isinstance(other, MultiPoly) or other.nvars != self.nvars:
+            self._refuse(other, "-")
         return MultiPoly._raw(self.nvars, _sp.sub_terms(self.terms, other.terms))
 
     def __neg__(self):
@@ -192,7 +186,8 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
-            assert self.nvars == other.nvars, (self.nvars, other.nvars)
+            if other.nvars != self.nvars:
+                self._refuse(other, "*")
             return MultiPoly._raw(self.nvars, _sp.mul_terms(self.terms, other.terms))
         return MultiPoly._raw(self.nvars, _sp.scale_terms(self.terms, rat(other)))
 
@@ -400,41 +395,39 @@ def exact_div(p, q):
 
 
 class RatMatrix:
-    """Dense matrix of Fractions.  Rows are plain lists."""
+    """A linear system over Q, built from polynomials as matrix columns.
 
-    __slots__ = ("rows", "cols", "entries")
+    RatMatrix(cols, *blocks): each block is a list of cols term dicts,
+    column j holding the coefficients of unknown j.  Every key with a
+    nonzero coefficient in a block is one row; a block's keys are sorted,
+    and the blocks stack in order, so keys of different shapes never meet.
+    Each row is kept once, as {column: int}: the row times the lcm of its
+    denominators, which has the same span."""
 
-    def __init__(self, rows, cols, entries):
-        if len(entries) != rows:
-            raise ValueError("expected %d rows, got %d" % (rows, len(entries)))
-        self.rows = rows
-        self.cols = cols
-        self.entries = [[rat(x) for x in row] for row in entries]
-        for i, row in enumerate(self.entries):
-            if len(row) != cols:
-                raise ValueError(
-                    "row %d has %d entries, expected %d" % (i, len(row), cols)
+    __slots__ = ("rows", "cols", "int_rows")
+
+    def __init__(self, cols, *blocks):
+        int_rows = []
+        for block in blocks:
+            if len(block) != cols:
+                raise ValueError("a block has %d columns, expected %d"
+                                 % (len(block), cols))
+            by_key = {}
+            for j, col in enumerate(block):
+                for k, c in col.items():
+                    if not isinstance(c, (int, Fraction)):
+                        raise TypeError("entry %r is not an int or a Fraction" % (c,))
+                    if c:
+                        by_key.setdefault(k, {})[j] = c
+            for k in sorted(by_key):
+                row = by_key[k]
+                d = lcm(*(c.denominator for c in row.values()))
+                int_rows.append(
+                    {j: c.numerator * (d // c.denominator) for j, c in row.items()}
                 )
-
-    @classmethod
-    def from_rows(cls, rows_list, cols):
-        return cls(len(rows_list), cols, rows_list)
-
-
-_ZERO = Fraction(0)
-
-
-def column_rows(columns):
-    """The matrix whose column j is the term dict columns[j], as rows: one
-    row per key of the union support, keys in sorted order."""
-    keys = sorted(set().union(*columns))
-    index = {k: i for i, k in enumerate(keys)}
-    # the columns are sparse: fill zeros, then scatter each column's terms
-    rows = [[_ZERO] * len(columns) for _ in keys]
-    for j, col in enumerate(columns):
-        for k, c in col.items():
-            rows[index[k]][j] = c
-    return rows
+        self.rows = len(int_rows)
+        self.cols = cols
+        self.int_rows = int_rows
 
 
 def _rref(entries, cols):
@@ -487,15 +480,6 @@ def _primitive(vec):
 _P = (1 << 61) - 1  # the screening prime, a Mersenne prime
 
 
-def _integer_row(row):
-    """A row of Fractions times the lcm of its denominators: integers with
-    the same span."""
-    d = lcm(*{x.denominator for x in row})
-    if d == 1:
-        return [x.numerator for x in row]
-    return [x.numerator * (d // x.denominator) for x in row]
-
-
 def _independent_rows(int_rows, cols):
     """The indices of the rows that are independent mod _P of the rows
     picked before them, at most cols of them, in input order; and a basis
@@ -510,7 +494,7 @@ def _independent_rows(int_rows, cols):
     for i, row in enumerate(int_rows):
         if not kernel:
             break
-        nonzero = [(j, x % _P) for j, x in enumerate(row) if x]
+        nonzero = [(j, x % _P) for j, x in row.items()]
         dots = [sum(r * v[j] for j, r in nonzero) % _P for v in kernel]
         t = next((t for t, d in enumerate(dots) if d), None)
         if t is None:
@@ -574,18 +558,22 @@ def _lifted_kernel(vecs, cols):
 
 
 def _annihilates(vectors, int_rows):
-    """True iff every vector has zero dot product with every row, over Q."""
+    """True iff every (integer) vector has zero dot product with every row."""
     for vec in vectors:
-        ints = _integer_row(vec)
-        if any(sum(map(mul, row, ints)) for row in int_rows):
+        ints = [x.numerator for x in vec]
+        if any(sum(x * ints[j] for j, x in row.items()) for row in int_rows):
             return False
     return True
 
 
-def _rref_kernel(rows, cols):
-    """The kernel basis the RREF of rows gives: one primitive vector per free
-    column, in column order."""
-    entries = [list(row) for row in rows]
+def _rref_kernel(int_rows, cols):
+    """The kernel basis the RREF of the rows gives: one primitive vector per
+    free column, in column order.  The only dense copy: Fraction entries,
+    since 1 / x on ints would be a float."""
+    entries = [[Fraction(0)] * cols for _ in int_rows]
+    for dense, row in zip(entries, int_rows):
+        for j, x in row.items():
+            dense[j] = Fraction(x)
     pivots = _rref(entries, cols)
     pivot_set = set(pivots)
     basis = []
@@ -600,24 +588,21 @@ def _rref_kernel(rows, cols):
     return basis
 
 
-def _kernel(rows, cols):
-    """The RREF's kernel basis of rows (lists of Fractions, cols wide).
+def _kernel(int_rows, cols):
+    """The RREF's kernel basis of the rows ({column: int} dicts, cols wide).
 
     Tried in turn: the lifted null space mod _P, the RREF of the picked rows
     and the RREF of all rows.  The picked rows' kernel holds that of all
     rows, so if its basis annihilates every row the kernels, hence the row
     spaces and their unique RREFs, are equal."""
-    int_rows = [_integer_row(row) for row in rows]
     picked, kernel = _independent_rows(int_rows, cols)
     basis = _lifted_kernel(kernel, cols)
     if basis is not None and _annihilates(basis, int_rows):
         return basis
-    del kernel
-    basis = _rref_kernel([rows[i] for i in picked], cols)
+    basis = _rref_kernel([int_rows[i] for i in picked], cols)
     if _annihilates(basis, int_rows):
         return basis
-    del int_rows  # hold no integer copy beside the full Fraction copy
-    return _rref_kernel(rows, cols)
+    return _rref_kernel(int_rows, cols)
 
 
 def _check_matrix(mat):
@@ -631,5 +616,5 @@ def nullspace(mat):
     Basis vectors are produced one per free column (in increasing column
     order), scaled to primitive integer form.  rank + len(basis) = cols."""
     _check_matrix(mat)
-    return _kernel(mat.entries, mat.cols)
+    return _kernel(mat.int_rows, mat.cols)
 

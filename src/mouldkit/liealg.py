@@ -6,17 +6,12 @@
 from fractions import Fraction
 from math import lcm
 
-from .kernel import (
-    NoSolution,
-    RatMatrix,
-    _primitive,
-    column_rows,
-    nullspace,
-    rat,
-)
+from .kernel import NoSolution, RatMatrix, _primitive, nullspace, rat
 from .ncword import (
+    XY,
     NCPoly,
     NotHomogeneous,
+    _check_xy,
     coefficient,
     decompose_right,
     homogeneous_weight,
@@ -27,8 +22,6 @@ from .ncword import (
     scale_letter,
     trace,
 )
-
-XY = ("x", "y")
 
 # graded solves beyond this weight are refused rather than attempted; the
 # bound is generous for desk scale (the acceptance runs stop at weight 8)
@@ -92,9 +85,10 @@ class SubspaceBasis:
 # word-coordinate linear solves
 
 def _check_kv_input(name, w, *polys):
-    """Refuse non-NCPoly input, w <= 1, and a nonzero poly not of weight w."""
+    """Refuse input that is not an NCPoly over ("x", "y"), w <= 1, and a
+    nonzero poly not of weight w."""
     for p in polys:
-        _check_ncpoly(p, name)
+        _check_xy(p, name)
     if w <= 1:
         raise WeightTooSmall("%s needs weight > 1, got %r" % (name, w))
     for p in polys:
@@ -180,7 +174,7 @@ def _lie_witness(p, w):
 def krv_witness(F, w):
     """None when F lies in krv_w, else the first failed stage of weight w,
     Lie, KV1, KV2 as {"stage": "weight"|"lie"|"kv1"|"kv2"}."""
-    _check_ncpoly(F, "krv_witness")
+    _check_xy(F, "krv_witness")
     _check_kv_input("krv_witness", w)
     if F.is_zero():
         return None
@@ -331,7 +325,7 @@ def dmr_witness(f, w):
     match the mould-side characterizations (the senary relation on the associated
     moulds and the alternility of their swaps); without it the two sides
     of the dictionary disagree by a sign on every odd depth."""
-    _check_ncpoly(f, "dmr_witness")
+    _check_xy(f, "dmr_witness")
     _check_kv_input("dmr_witness", w)
     if f.is_zero():
         return None
@@ -367,14 +361,13 @@ def dmr_basis(w):
     _check_weight(w)
     words = lyndon_words(w, XY)
     brackets = lyndon_basis(w, XY)
-    xy_row = [coefficient(b, ("x", "y")) for b in brackets]
+    c_xy = [{("x", "y"): coefficient(b, ("x", "y"))} for b in brackets]
     memo = {}  # word coproducts, shared by the brackets of this solve
     defects = [
         primitivity_defect(star_regularize(scale_letter(b, "y", -1)), memo)
         for b in brackets
     ]
-    rows = [xy_row] + column_rows(defects)
-    vectors = nullspace(RatMatrix.from_rows(rows, len(brackets)))
+    vectors = nullspace(RatMatrix(len(brackets), c_xy, defects))
     return SubspaceBasis(w, words, vectors)
 
 
@@ -400,9 +393,7 @@ def krv_basis(w):
     kv2 = [trace(decompose_right(b)[1] * y).terms for b in brackets]
     kv2 += [trace(decompose_right(b)[0] * x).terms for b in brackets]
     target = trace((x + y) ** w - x ** w - y ** w)
-    rows = column_rows(kv1 + [{}]) + column_rows(kv2 + [(-1 * target).terms])
-
-    joint = nullspace(RatMatrix.from_rows(rows, 2 * n + 1))
+    joint = nullspace(RatMatrix(2 * n + 1, kv1 + [{}], kv2 + [(-1 * target).terms]))
     vectors = [_primitive(v[:n]) for v in joint]
     return SubspaceBasis(w, words, vectors)
 
@@ -414,4 +405,4 @@ def fil2_dimension(elements):
         {wd: c for wd, c in p.terms.items() if wd.count("y") == 1}
         for p in elements
     ]
-    return len(nullspace(RatMatrix.from_rows(column_rows(depth1), len(elements))))
+    return len(nullspace(RatMatrix(len(elements), depth1)))

@@ -44,13 +44,6 @@ class Mould:
         return cls([Fraction(0)] + [MultiPoly.zero(m) for m in range(1, depth + 1)])
 
     @classmethod
-    def unit(cls, depth=0):
-        # I = (1, 0, 0, ...)
-        m = cls.zero(depth)
-        m.components[0] = Fraction(1)
-        return m
-
-    @classmethod
     def from_components(cls, depth, comps):
         """comps: dict m -> MultiPoly/dict/Fraction, missing entries zero."""
         full = [Fraction(0)] + [MultiPoly.zero(m) for m in range(1, depth + 1)]
@@ -136,12 +129,6 @@ class ConstantMould:
         if m < len(self.values):
             return self.values[m]
         return Fraction(0)
-
-    def as_mould(self):
-        comps = [self.value(0)]
-        for m in range(1, len(self.values)):
-            comps.append(MultiPoly.const(m, self.value(m)))
-        return Mould(comps)
 
     def __eq__(self, other):
         if not isinstance(other, ConstantMould):

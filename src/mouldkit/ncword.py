@@ -139,9 +139,6 @@ class NCPoly:
             out = out * self
         return out
 
-    def words(self):
-        return self.terms.keys()
-
     def __repr__(self):
         if not self.terms:
             return "NCPoly(0)"
@@ -151,6 +148,17 @@ class NCPoly:
             word = ".".join(str(a) for a in w) if w else "1"
             bits.append("%s*%s" % (c, word))
         return "NCPoly(%s)" % " + ".join(bits)
+
+
+XY = ("x", "y")
+
+
+def _check_xy(p, name):
+    """Refuse anything but an NCPoly over the alphabet ("x", "y")."""
+    if not isinstance(p, NCPoly):
+        raise TypeError("%s needs an NCPoly, got %s" % (name, type(p).__name__))
+    if p.alphabet != XY:
+        raise AlphabetError("%s needs the alphabet %r, got %r" % (name, XY, p.alphabet))
 
 
 def coefficient(p, word):

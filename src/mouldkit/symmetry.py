@@ -16,7 +16,6 @@ from .kernel import (
     MultiPoly,
     NoSolution,
     RatMatrix,
-    column_rows,
     divided_difference,
     embed_vars,
     nullspace,
@@ -308,18 +307,16 @@ def _lie_columns(w, name):
         if alternal_witness(b) is not None:
             raise ArithmeticError("%s: Lie column %d of weight %d is not alternal"
                                   % (name, j, w))
-    rows = []
-    for m in range(1, w + 1):
-        rows.extend(column_rows([b.component(m).terms for b in basis]))
-    if nullspace(RatMatrix.from_rows(rows, len(basis))):
+    depths = [[b.component(m).terms for b in basis] for m in range(1, w + 1)]
+    if nullspace(RatMatrix(len(basis), *depths)):
         raise ArithmeticError("%s: the Lie columns of weight %d are dependent"
                               % (name, w))
     return basis
 
 
-def _nullspace_moulds(basis, rows, ncols):
+def _nullspace_moulds(basis, blocks, ncols):
     out = []
-    for v in nullspace(RatMatrix.from_rows(rows, ncols)):
+    for v in nullspace(RatMatrix(ncols, *blocks)):
         mo = Mould.zero(basis[0].depth)
         for j, b in enumerate(basis):
             if v[j]:
@@ -336,15 +333,15 @@ def ari_alil_space(w):
     basis = _lie_columns(w, "ari_alil_space")
     nconst = w - 1
     swaps = [swap(b) for b in basis]
-    rows = []
+    blocks = []
     for m in range(2, w + 1):
         for p in range(1, m):
             # C_m adds binom(m, p) to the constant term of the (p, q) sum
             consts = [{}] * nconst
-            consts[m - 2] = {(0,) * m: Fraction(comb(m, p))}
+            consts[m - 2] = {(0,) * m: comb(m, p)}
             il = [alternility_defect(s, p, m - p).terms for s in swaps]
-            rows.extend(column_rows(il + consts))
-    return _nullspace_moulds(basis, rows, len(basis) + nconst)
+            blocks.append(il + consts)
+    return _nullspace_moulds(basis, blocks, len(basis) + nconst)
 
 
 def ari_sena_pusnu_space(w):
@@ -353,9 +350,6 @@ def ari_sena_pusnu_space(w):
     depth 1 forces M^1 = 0, so this space sits inside Fil^2 automatically."""
     basis = _lie_columns(w, "ari_sena_pusnu_space")
     swaps = [swap(b) for b in basis]
-    rows = []
-    for r in range(1, w + 1):
-        rows.extend(column_rows([senary_defect(b, r).terms for b in basis]))
-    for m in range(1, w + 1):
-        rows.extend(column_rows([pus_sum(s, m).terms for s in swaps]))
-    return _nullspace_moulds(basis, rows, len(basis))
+    blocks = [[senary_defect(b, r).terms for b in basis] for r in range(1, w + 1)]
+    blocks += [[pus_sum(s, m).terms for s in swaps] for m in range(1, w + 1)]
+    return _nullspace_moulds(basis, blocks, len(basis))

@@ -5,18 +5,20 @@ rational reconstruction or else runs the exact RREF on the rows it picks,
 and certifies the answer against every row.  solve_linear below is one
 nullspace call on the augmented rows [A | b]; its systems reach the
 certificate through a right-hand side.  The references are the full-RREF
-implementation the kernel replaced, kept verbatim; every case must agree
-with them exactly, including the cases built so that the prime is unlucky
-and the certificate has to fail."""
+implementation the kernel replaced, kept verbatim, and column_rows, the
+dense row builder that RatMatrix replaced; every case must agree with them
+exactly, including the cases built so that the prime is unlucky and the
+certificate has to fail."""
 
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mouldkit import kernel
 from mouldkit.kernel import NoSolution, RatMatrix, nullspace
@@ -77,19 +79,18 @@ def _primitive(vec):
     return tuple(Fraction(k) for k in ints)
 
 
-def reference_nullspace(mat):
-    """Exact basis of the kernel of mat, deterministic.
+def reference_nullspace(rows, cols):
+    """Exact basis of the kernel of the dense rows, deterministic.
 
     Basis vectors are produced one per free column (in increasing column
     order), scaled to primitive integer form.  rank + len(basis) = cols."""
-    assert isinstance(mat, RatMatrix), mat
-    entries = [list(row) for row in mat.entries]
-    pivots = _rref(entries, mat.cols)
+    entries = [[Fraction(x) for x in row] for row in rows]
+    pivots = _rref(entries, cols)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(mat.cols) if c not in pivot_set]
+    free_cols = [c for c in range(cols) if c not in pivot_set]
     basis = []
     for fc in free_cols:
-        vec = [Fraction(0)] * mat.cols
+        vec = [Fraction(0)] * cols
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -entries[r][fc]
@@ -97,29 +98,48 @@ def reference_nullspace(mat):
     return basis
 
 
-def reference_solve_linear(mat, rhs):
-    """One exact solution of mat * x = rhs (free variables set to 0), or
-    NoSolution.  rhs is a sequence of Fractions of length mat.rows."""
-    assert isinstance(mat, RatMatrix), mat
-    assert len(rhs) == mat.rows, (len(rhs), mat.rows)
-    aug = [list(row) + [Fraction(b)] for row, b in zip(mat.entries, rhs)]
-    pivots = _rref(aug, mat.cols + 1)
-    if mat.cols in pivots:
+def reference_solve_linear(rows, cols, rhs):
+    """One exact solution of rows * x = rhs (free variables set to 0), or
+    NoSolution.  rhs is a sequence of Fractions, one per row."""
+    assert len(rhs) == len(rows), (len(rhs), len(rows))
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = _rref(aug, cols + 1)
+    if cols in pivots:
         return NoSolution("inconsistent linear system")
-    x = [Fraction(0)] * mat.cols
+    x = [Fraction(0)] * cols
     for r, pc in enumerate(pivots):
-        x[pc] = aug[r][mat.cols]
+        x[pc] = aug[r][cols]
     return x
 
 
-def solve_linear(mat, rhs):
-    """One exact solution of mat * x = rhs (free variables set to 0), or
-    NoSolution, from the kernel of [mat | rhs].  b is in the column span iff
-    column n is free, and only the RREF kernel vector of free column n can be
-    nonzero on column n: x = -v[:n] / v[n]."""
-    n = mat.cols
-    aug = [row + [Fraction(b)] for row, b in zip(mat.entries, rhs)]
-    basis = nullspace(RatMatrix(mat.rows, n + 1, aug))
+def column_rows(columns):
+    """The matrix whose column j is the term dict columns[j], as rows: one
+    row per key of the union support, keys in sorted order."""
+    keys = sorted(set().union(*columns))
+    index = {k: i for i, k in enumerate(keys)}
+    # the columns are sparse: fill zeros, then scatter each column's terms
+    rows = [[Fraction(0)] * len(columns) for _ in keys]
+    for j, col in enumerate(columns):
+        for k, c in col.items():
+            rows[index[k]][j] = c
+    return rows
+
+
+# -- systems from dense rows ------------------------------------------------
+
+
+def dense(rows, cols):
+    """The system of dense rows: one block whose key i holds row i."""
+    return RatMatrix(cols, [{i: row[j] for i, row in enumerate(rows)} for j in range(cols)])
+
+
+def solve_linear(rows, n, rhs):
+    """One exact solution of rows * x = rhs (n unknowns, free variables set
+    to 0), or NoSolution, from the kernel of [rows | rhs].  b is in the
+    column span iff column n is free, and only the RREF kernel vector of free
+    column n can be nonzero on column n: x = -v[:n] / v[n]."""
+    aug = [list(row) + [Fraction(b)] for row, b in zip(rows, rhs)]
+    basis = nullspace(dense(aug, n + 1))
     if not basis or not basis[-1][n]:
         return NoSolution("inconsistent linear system")
     v = basis[-1]
@@ -148,7 +168,7 @@ def _product(a, b, cols):
 
 
 def random_matrix(rng):
-    """Tall, rank-deficient, zero, single-column or general rows."""
+    """Tall, rank-deficient, zero, single-column or general rows, and cols."""
     kind = rng.choice(("tall", "deficient", "zero", "one-column", "general"))
     cols = 1 if kind == "one-column" else rng.randint(1, 7)
     nrows = rng.randint(0, 6) if kind == "general" else rng.randint(cols, 4 * cols + 4)
@@ -161,7 +181,7 @@ def random_matrix(rng):
         )
     else:
         rows = _random_rows(rng, nrows, cols)
-    return RatMatrix(nrows, cols, rows)
+    return rows, cols
 
 
 def _same_solution(got, want):
@@ -174,22 +194,66 @@ def _same_solution(got, want):
 def test_nullspace_matches_full_rref(seed):
     rng = random.Random(seed)
     for _ in range(15):
-        m = random_matrix(rng)
-        want = reference_nullspace(m)
-        assert nullspace(m) == want
+        rows, cols = random_matrix(rng)
+        assert nullspace(dense(rows, cols)) == reference_nullspace(rows, cols)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_solve_linear_matches_full_rref(seed):
     rng = random.Random(1000 + seed)
     for _ in range(15):
-        m = random_matrix(rng)
+        rows, cols = random_matrix(rng)
         if rng.random() < 0.5:
-            x0 = [_entry(rng) for _ in range(m.cols)]
-            rhs = [sum((a * b for a, b in zip(row, x0)), Fraction(0)) for row in m.entries]
+            x0 = [_entry(rng) for _ in range(cols)]
+            rhs = [sum((a * b for a, b in zip(row, x0)), Fraction(0)) for row in rows]
         else:
-            rhs = [_entry(rng) for _ in range(m.rows)]
-        assert _same_solution(solve_linear(m, rhs), reference_solve_linear(m, rhs))
+            rhs = [_entry(rng) for _ in rows]
+        assert _same_solution(
+            solve_linear(rows, cols, rhs), reference_solve_linear(rows, cols, rhs)
+        )
+
+
+# -- the sparse row build ---------------------------------------------------
+
+_COEFFS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+    st.sampled_from([P, 2 * P, Fraction(1, P)]),
+)
+
+
+@st.composite
+def systems(draw):
+    """cols and a list of blocks, each block cols term dicts.  Within a block
+    the keys share one shape (ints or pairs), as a polynomial's do; blocks
+    draw from the same small pool, so keys repeat across columns and across
+    blocks, and columns and blocks may be empty."""
+    cols = draw(st.integers(0, 5))
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        keys = draw(st.sampled_from([st.integers(0, 5), st.tuples(st.integers(0, 2),
+                                                                   st.integers(0, 2))]))
+        blocks.append([draw(st.dictionaries(keys, _COEFFS, max_size=4))
+                       for _ in range(cols)])
+    return cols, blocks
+
+
+@given(systems())
+@settings(deadline=None, max_examples=200)
+def test_rows_are_the_integer_scaled_column_rows(system):
+    cols, blocks = system
+    mat = RatMatrix(cols, *blocks)
+    dense_rows = [row for block in blocks for row in column_rows(block)]
+    want = []
+    for row in dense_rows:
+        if any(row):
+            d = lcm(*(Fraction(x).denominator for x in row))
+            want.append({j: int(x * d) for j, x in enumerate(row) if x})
+    assert mat.int_rows == want
+    assert [list(r) for r in mat.int_rows] == [list(r) for r in want]  # column order
+    assert all(type(x) is int for r in mat.int_rows for x in r.values())
+    assert (mat.rows, mat.cols) == (len(want), cols)
+    assert nullspace(mat) == reference_nullspace(dense_rows, cols)
 
 
 # -- the screen, the certificate and the fallback ---------------------------
@@ -212,8 +276,7 @@ def rref_calls(monkeypatch):
 def test_tall_matrix_is_solved_on_at_most_cols_rows(rref_calls):
     rng = random.Random(5)
     rows = _random_rows(rng, 40, 6)
-    m = RatMatrix(40, 6, rows)
-    assert nullspace(m) == reference_nullspace(m)
+    assert nullspace(dense(rows, 6)) == reference_nullspace(rows, 6)
     assert rref_calls == []
 
 
@@ -226,9 +289,9 @@ def test_entry_beyond_reconstruction_bound_falls_back_to_rref(rows, rref_calls):
     # The kernel mod p is right, but an entry of its RREF-kernel form has a
     # numerator or denominator of 2^30 or more, so it does not reconstruct;
     # the RREF of the picked rows gives the answer, and it certifies.
-    m = RatMatrix(len(rows), len(rows[0]), rows)
-    assert nullspace(m) == reference_nullspace(m)
-    assert rref_calls == [m.rows]
+    m = dense(rows, len(rows[0]))
+    assert nullspace(m) == reference_nullspace(rows, m.cols)
+    assert rref_calls == [m.rows] == [len(rows)]
 
 
 def test_rational_reconstruction_pins():
@@ -251,18 +314,17 @@ def test_rational_reconstruction_pins():
     ids=["p", "2p-row", "pair-p-e1", "pair-p-e1-of-3", "half-pair"],
 )
 def test_unlucky_prime_falls_back_to_full_rref(rows, rref_calls):
-    m = RatMatrix(len(rows), len(rows[0]), rows)
-    assert nullspace(m) == reference_nullspace(m)
+    m = dense(rows, len(rows[0]))
+    assert nullspace(m) == reference_nullspace(rows, m.cols)
     assert len(rref_calls) == 2
-    assert rref_calls[1] == m.rows
+    assert rref_calls[1] == m.rows == len(rows)
 
 
 def test_inconsistency_only_in_unpicked_rows(rref_calls):
     # Mod p the last augmented row repeats the first, so the screen skips
     # it; over Q it contradicts the first and the certificate must notice.
-    m = RatMatrix(2, 1, [[1], [1]])
     rhs = [Fraction(0), Fraction(P)]
-    assert isinstance(solve_linear(m, rhs), NoSolution)
+    assert isinstance(solve_linear([[1], [1]], 1, rhs), NoSolution)
     assert len(rref_calls) == 2
 
 
@@ -277,21 +339,20 @@ def test_tall_inconsistency_only_in_unpicked_rows(rref_calls):
     rows = top + _product(combos, top, cols)
     x0 = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(cols)]
     rhs = [sum((a * b for a, b in zip(row, x0)), Fraction(0)) for row in rows]
-    m = RatMatrix(len(rows), cols, rows)
-    assert solve_linear(m, rhs) == reference_solve_linear(m, rhs) == x0
+    assert solve_linear(rows, cols, rhs) == reference_solve_linear(rows, cols, rhs) == x0
     assert rref_calls == []
     rhs[-1] += P
-    want = reference_solve_linear(m, rhs)
+    want = reference_solve_linear(rows, cols, rhs)
     assert isinstance(want, NoSolution)
-    assert _same_solution(solve_linear(m, rhs), want)
-    assert rref_calls == [cols, m.rows]
+    assert _same_solution(solve_linear(rows, cols, rhs), want)
+    assert rref_calls == [cols, len(rows)]
 
 
 def test_inconsistency_in_picked_rows_needs_no_fallback(rref_calls):
     # The picked rows already have full rank, so the kernel is empty mod p
     # and, trivially certified, over Q: no RREF runs.
-    m = RatMatrix(3, 1, [[1], [1], [2]])
-    assert isinstance(solve_linear(m, [Fraction(0), Fraction(1), Fraction(0)]), NoSolution)
+    rhs = [Fraction(0), Fraction(1), Fraction(0)]
+    assert isinstance(solve_linear([[1], [1], [2]], 1, rhs), NoSolution)
     assert rref_calls == []
 
 
@@ -301,18 +362,18 @@ def test_unlucky_rows_for_a_free_column_reach_the_full_rref(rref_calls):
     # whole kernel of [A | b], and the vector of free column 1 is killed by
     # the second row only mod p; so both the lift and the RREF of the
     # picked row fail, and the full RREF gives the answer.
-    m = RatMatrix(2, 2, [[1, 0], [1, P]])
+    rows = [[1, 0], [1, P]]
     rhs = [Fraction(1), Fraction(1)]
-    assert solve_linear(m, rhs) == reference_solve_linear(m, rhs) == [1, 0]
+    assert solve_linear(rows, 2, rhs) == reference_solve_linear(rows, 2, rhs) == [1, 0]
     assert rref_calls == [1, 2]
 
 
 def test_solution_beyond_reconstruction_bound_falls_back_to_rref(rref_calls):
     # x = 1/2^31 has a denominator of 2^31, so the lifted kernel of [A | b]
     # does not reconstruct; the RREF of the picked row gives it and certifies.
-    m = RatMatrix(1, 1, [[2**31]])
     rhs = [Fraction(1)]
-    assert solve_linear(m, rhs) == reference_solve_linear(m, rhs) == [Fraction(1, 2**31)]
+    assert (solve_linear([[2**31]], 1, rhs) == reference_solve_linear([[2**31]], 1, rhs)
+            == [Fraction(1, 2**31)])
     assert rref_calls == [1]
 
 
@@ -333,14 +394,18 @@ def test_kv1_solve_runs_no_rref(rref_calls):
 # -- input validation survives python -O ------------------------------------
 
 
-def test_ratmatrix_rejects_wrong_row_count():
+def test_ratmatrix_rejects_a_block_of_the_wrong_width():
     with pytest.raises(ValueError):
-        RatMatrix(2, 1, [[1]])
+        RatMatrix(2, [{0: 1}])
+    with pytest.raises(ValueError):
+        RatMatrix(1, [{0: 1}], [{0: 1}, {}])
 
 
-def test_ratmatrix_rejects_wrong_row_length():
-    with pytest.raises(ValueError):
-        RatMatrix(2, 2, [[1, 2], [3]])
+@pytest.mark.parametrize("entry", [0.5, 0.0, "1/2", None])
+def test_ratmatrix_rejects_an_entry_that_is_not_int_or_fraction(entry):
+    # a float used to become an exact fraction silently
+    with pytest.raises(TypeError):
+        RatMatrix(2, [{0: 1}, {0: entry}])
 
 
 def test_nullspace_rejects_non_matrix():
@@ -352,8 +417,9 @@ def test_validation_is_kept_under_optimize():
     src = Path(kernel.__file__).resolve().parents[1]
     script = (
         "from mouldkit.kernel import RatMatrix, nullspace\n"
-        "checks = [lambda: RatMatrix(2, 1, [[1]]),\n"
-        "          lambda: RatMatrix(1, 2, [[1]]),\n"
+        "checks = [lambda: RatMatrix(2, [{0: 1}]),\n"
+        "          lambda: RatMatrix(1, [{0: 1}], [{0: 1}, {}]),\n"
+        "          lambda: RatMatrix(1, [{0: 0.5}]),\n"
         "          lambda: nullspace([[1]])]\n"
         "for check in checks:\n"
         "    try:\n"

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mouldkit.bridge import ftilde_to_F
-from mouldkit.kernel import NoSolution, RatMatrix, column_rows, nullspace
+from mouldkit.kernel import NoSolution, RatMatrix, nullspace
 from mouldkit.liealg import (
     SubspaceBasis,
     WeightBoundError,
@@ -121,8 +121,7 @@ def _solve_in_span(columns, target):
     target is in the span iff that entry is nonzero, and then -v[:n] / v[n]
     is the solution with free variables 0."""
     n = len(columns)
-    rows = column_rows([p.terms for p in columns] + [target.terms])
-    basis = nullspace(RatMatrix.from_rows(rows, n + 1))
+    basis = nullspace(RatMatrix(n + 1, [p.terms for p in columns] + [target.terms]))
     if not basis or not basis[-1][n]:
         return NoSolution("inconsistent linear system")
     v = basis[-1]
@@ -524,6 +523,6 @@ def test_fil2_dmr_matches_mould_side():
     for w in range(3, 7):
         lhs = fil2_dimension(dmr_basis(w).elements())
         sols = ari_alil_space(w)
-        depth1 = column_rows([s.component(1).terms for s in sols])
-        rhs = len(nullspace(RatMatrix.from_rows(depth1, len(sols))))
+        depth1 = [s.component(1).terms for s in sols]
+        rhs = len(nullspace(RatMatrix(len(sols), depth1)))
         assert lhs == rhs == 0, (w, lhs, rhs)

@@ -149,11 +149,11 @@ def test_lyndon_bracketing_pins():
 
 def test_lyndon_basis_spans_w5():
     # coordinates of the 6 basis elements over all 32 weight-5 words must
-    # have full rank 6
+    # have full rank 6: one row per basis element, one column per word
     basis = lyndon_basis(5, XY)
     words = ["".join(t) for t in itertools.product("xy", repeat=5)]
-    entries = [[coefficient(p, tuple(w)) for w in words] for p in basis]
-    m = RatMatrix.from_rows(entries, len(words))
+    columns = [{i: coefficient(p, tuple(w)) for i, p in enumerate(basis)} for w in words]
+    m = RatMatrix(len(words), columns)
     assert m.cols - len(nullspace(m)) == 6
 
 

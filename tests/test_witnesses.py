@@ -281,12 +281,12 @@ def test_qp_shuffle_sum_vanishes_with_the_pq_sum(mo, data):
 
 def test_alternal_witness_pins():
     assert alternal_witness(Mo(2, {2: {(1, 0): 1, (0, 1): -1}})) is None
-    assert alternal_witness(Mould.unit(2)) == {"m0": Fraction(1)}
+    assert alternal_witness(Mould.from_components(2, {0: 1})) == {"m0": Fraction(1)}
     got = alternal_witness(Mo(2, {2: {(1, 1): 1}}))
     assert got == {"p": 1, "q": 1, "defect": MultiPoly(2, {(1, 1): 2})}
     got = alternal_witness(Mo(4, {4: {(1, 0, 0, 0): 1}}))
     assert (got["p"], got["q"]) == (1, 3)
-    assert is_alternal(Mould.zero(3)) and not is_alternal(Mould.unit(1))
+    assert is_alternal(Mould.zero(3)) and not is_alternal(Mould.from_components(1, {0: 1}))
 
 
 def test_pusnu_witness_pins():
@@ -390,6 +390,15 @@ def test_paper_suite_embedding_uses_is_krv(monkeypatch, capsys):
 
 # --- input checks that python -O keeps -----------------------------------------
 
+K3 = krv_basis(3).elements()[0]
+# the krv_3 generator over foreign alphabets: x, y renamed a, b; and the
+# same words over the alphabet ("y", "x")
+K3_AB = NCPoly(("a", "b"), {tuple("ab"[XY.index(s)] for s in wd): c
+                            for wd, c in K3.terms.items()})
+K3_YX = NCPoly(("y", "x"), K3.terms)
+M2 = MultiPoly(2, {(1, 0): 1})
+M3 = MultiPoly(3, {(0, 0, 1): 1})
+
 BAD_INPUT = [
     (TypeError, lambda: is_krv(P1.terms, 3)),
     (ValueError, lambda: is_krv(P1, 1)),
@@ -408,6 +417,17 @@ BAD_INPUT = [
     (ValueError, lambda: P1 ** -2),
     (ValueError, lambda: ari_alil_space(1)),
     (ValueError, lambda: ari_sena_pusnu_space(1)),
+    (AlphabetError, lambda: krv_witness(K3_AB, 3)),
+    (AlphabetError, lambda: krv_witness(K3_YX, 3)),
+    (AlphabetError, lambda: solve_G(K3_YX, 3)),
+    (AlphabetError, lambda: kv2_check(K3_AB, K3_AB, 3)),
+    (AlphabetError, lambda: dmr_witness(K3_AB, 3)),
+    (AlphabetError, lambda: is_dmr(K3_YX, 3)),
+    (TypeError, lambda: M2 + 1),
+    (TypeError, lambda: M2 - P1),
+    (ValueError, lambda: M2 + M3),
+    (ValueError, lambda: M2 - M3),
+    (ValueError, lambda: M2 * M3),
 ]
 
 
@@ -422,13 +442,19 @@ def test_bad_input_raises_under_optimize():
     code = (
         "from mouldkit.bridge import vimo\n"
         "from mouldkit.kernel import MultiPoly\n"
-        "from mouldkit.liealg import dmr_witness, is_krv\n"
+        "from mouldkit.liealg import (dmr_witness, is_krv, krv_basis, krv_witness,\n"
+        "                             solve_G)\n"
         "from mouldkit.mould import pus_sum\n"
         "from mouldkit.ncword import (AlphabetError, NCPoly, lyndon_bracketing,\n"
         "                             scale_letter)\n"
         "from mouldkit.symmetry import (ari_alil_space, ari_sena_pusnu_space,\n"
         "                               is_alternal)\n"
         "xy = NCPoly.from_word(('x', 'y'), ('x', 'y'))\n"
+        "k3 = krv_basis(3).elements()[0]\n"
+        "ab = NCPoly(('a', 'b'), {tuple('ab'['xy'.index(s)] for s in wd): c\n"
+        "                         for wd, c in k3.terms.items()})\n"
+        "yx = NCPoly(('y', 'x'), k3.terms)\n"
+        "m2, m3 = MultiPoly(2, {(1, 0): 1}), MultiPoly(3, {(0, 0, 1): 1})\n"
         "checks = [(ValueError, lambda: vimo(xy, 3)),\n"
         "          (AlphabetError, lambda: NCPoly(('x', 'x'), {('x',): 1})),\n"
         "          (ValueError, lambda: lyndon_bracketing(('y', 'x'), ('x', 'y'))),\n"
@@ -440,7 +466,15 @@ def test_bad_input_raises_under_optimize():
         "          (ValueError, lambda: is_krv(xy, 1)),\n"
         "          (TypeError, lambda: dmr_witness('xy', 2)),\n"
         "          (TypeError, lambda: is_alternal(None)),\n"
-        "          (TypeError, lambda: pus_sum(None, 1))]\n"
+        "          (TypeError, lambda: pus_sum(None, 1)),\n"
+        "          (AlphabetError, lambda: krv_witness(ab, 3)),\n"
+        "          (AlphabetError, lambda: krv_witness(yx, 3)),\n"
+        "          (AlphabetError, lambda: solve_G(yx, 3)),\n"
+        "          (AlphabetError, lambda: dmr_witness(ab, 3)),\n"
+        "          (TypeError, lambda: m2 + 1),\n"
+        "          (ValueError, lambda: m2 + m3),\n"
+        "          (ValueError, lambda: m2 - m3),\n"
+        "          (ValueError, lambda: m2 * m3)]\n"
         "for exc, check in checks:\n"
         "    try:\n"
         "        check()\n"
