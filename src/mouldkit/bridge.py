@@ -6,7 +6,7 @@ from math import lcm
 
 from .kernel import MultiPoly, substitute
 from .mould import Mould
-from .ncword import XY, NCPoly, _check_xy, _weight_parts, homogeneous_weight
+from .ncword import XY, NCPoly, _check_xy, homogeneous_weight
 
 
 def _signed_word_map(p, y_sign):
@@ -65,31 +65,20 @@ def vimo(h, r):
                                   for wd, c in h.terms.items() if wd.count("y") == r})
 
 
-def _ma_homogeneous(h, w):
+def ma(h):
+    """The associated mould: ma^0 = 0 and
+    ma^r(u_1..u_r) = vimo^r(0, u_1, u_1+u_2, ..., u_1+...+u_r),
+    extended linearly to inhomogeneous input, with depth the length of the
+    longest word of h.  substitute is linear, so the words of every weight
+    go to one polynomial per y-count r, which gets the forms once."""
+    _check_xy(h, "ma")
     by_depth = {}
     for wd, c in h.terms.items():
         e = _word_exponents(wd)
         by_depth.setdefault(len(e) - 1, {})[e] = c
     comps = [Fraction(0)]
-    for r in range(1, w + 1):
-        poly = MultiPoly._raw(r + 1, by_depth.get(r, {}))
+    for r in range(1, max(map(len, h.terms), default=0) + 1):
         # z_0 = 0, z_k = u_1 + ... + u_k
-        forms = [(0,) * r]
-        for k in range(1, r + 1):
-            forms.append((1,) * k + (0,) * (r - k))
-        comps.append(substitute(poly, forms, r))
+        forms = [(0,) * r] + [(1,) * k + (0,) * (r - k) for k in range(1, r + 1)]
+        comps.append(substitute(MultiPoly._raw(r + 1, by_depth.get(r, {})), forms, r))
     return Mould(comps)
-
-
-def ma(h):
-    """The associated mould: ma^0 = 0 and
-    ma^r(u_1..u_r) = vimo^r(0, u_1, u_1+u_2, ..., u_1+...+u_r),
-    extended weight-componentwise to inhomogeneous input."""
-    _check_xy(h, "ma")
-    out = Mould.zero(0)
-    for w, part in _weight_parts(h).items():
-        if w == 0:
-            continue
-        out = out + _ma_homogeneous(part, w)
-    return out
-

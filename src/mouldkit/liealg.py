@@ -4,6 +4,7 @@
 # test), and the graded basis solvers over Lyndon coordinates.
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from .kernel import NoSolution, RatMatrix, _primitive, nullspace, rat
@@ -11,12 +12,11 @@ from .ncword import (
     XY,
     NCPoly,
     NotHomogeneous,
+    _check_ncpoly,
     _check_xy,
     coefficient,
-    decompose_right,
     homogeneous_weight,
     is_lie,
-    lie_bracket,
     lyndon_basis,
     lyndon_words,
     scale_letter,
@@ -138,18 +138,27 @@ def solve_G(F, w):
     return NCPoly._raw(XY, G)
 
 
+def _ending(p, a):
+    """p_a * a for p = sum_a p_a * a (decompose_right): the words of p that
+    end in the letter a."""
+    return NCPoly._raw(XY, {wd: c for wd, c in p.terms.items() if wd[-1] == a})
+
+
+def _kv2_target(w):
+    """tr((x+y)^w - x^w - y^w): the trace of every word of length w that
+    has both letters."""
+    words = product(XY, repeat=w)
+    return trace(NCPoly._raw(XY, {wd: Fraction(1) for wd in words if len(set(wd)) == 2}))
+
+
 def kv2_check(F, G, w):
     """Solve tr(G_x x + F_y y) = alpha * tr((x+y)^w - x^w - y^w) exactly.
 
     Both sides live in the cyclic-word quotient; the right-hand trace is
     nonzero for every w > 1, which pins alpha uniquely."""
     _check_kv_input("kv2_check", w, F, G)
-    x = NCPoly.letter(XY, "x")
-    y = NCPoly.letter(XY, "y")
-    G_x = decompose_right(G)[0]
-    F_y = decompose_right(F)[1]
-    lhs = trace(G_x * x + F_y * y)
-    rhs = trace((x + y) ** w - x ** w - y ** w)
+    lhs = trace(_ending(G, "x") + _ending(F, "y"))
+    rhs = _kv2_target(w)
     if rhs.is_zero():
         if lhs.is_zero():
             return Fraction(0)
@@ -201,15 +210,9 @@ def _y_alphabet(n):
 
 
 def _max_word_weight(p):
-    # on the x,y alphabet every letter has weight 1
     if p.is_zero():
         return 1
     return max(len(wd) for wd in p.terms) or 1
-
-
-def _check_ncpoly(p, name):
-    if not isinstance(p, NCPoly):
-        raise TypeError("%s needs an NCPoly, got %s" % (name, type(p).__name__))
 
 
 def pi_Y(p):
@@ -382,18 +385,16 @@ def krv_basis(w):
     words = lyndon_words(w, XY)
     brackets = lyndon_basis(w, XY)
     n = len(brackets)
-    x = NCPoly.letter(XY, "x")
-    y = NCPoly.letter(XY, "y")
 
     # columns F (n), G (n), alpha (1)
     # KV1: [y, F] + [x, G] = 0, and alpha does not enter
-    kv1 = [lie_bracket(y, b).terms for b in brackets]
-    kv1 += [lie_bracket(x, b).terms for b in brackets]
+    kv1 = [_ad_letter("y", b.terms) for b in brackets]
+    kv1 += [_ad_letter("x", b.terms) for b in brackets]
     # KV2: tr(G_x x + F_y y) - alpha tr((x+y)^w - x^w - y^w) = 0
-    kv2 = [trace(decompose_right(b)[1] * y).terms for b in brackets]
-    kv2 += [trace(decompose_right(b)[0] * x).terms for b in brackets]
-    target = trace((x + y) ** w - x ** w - y ** w)
-    joint = nullspace(RatMatrix(2 * n + 1, kv1 + [{}], kv2 + [(-1 * target).terms]))
+    kv2 = [trace(_ending(b, "y")).terms for b in brackets]
+    kv2 += [trace(_ending(b, "x")).terms for b in brackets]
+    target = _kv2_target(w)
+    joint = nullspace(RatMatrix(2 * n + 1, kv1 + [{}], kv2 + [(-target).terms]))
     vectors = [_primitive(v[:n]) for v in joint]
     return SubspaceBasis(w, words, vectors)
 

@@ -79,14 +79,14 @@ class Mould:
     __hash__ = None
 
     def __add__(self, other):
-        assert isinstance(other, Mould), other
+        _check_mould(other, "Mould arithmetic")
         d = max(self.depth, other.depth)
         comps = [self.components[0] + other.components[0]]
         comps += [self.component(m) + other.component(m) for m in range(1, d + 1)]
         return Mould(comps)
 
     def __sub__(self, other):
-        assert isinstance(other, Mould), other
+        _check_mould(other, "Mould arithmetic")
         d = max(self.depth, other.depth)
         comps = [self.components[0] - other.components[0]]
         comps += [self.component(m) - other.component(m) for m in range(1, d + 1)]

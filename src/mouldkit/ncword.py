@@ -1,15 +1,15 @@
 # Noncommutative words and polynomials over a declared alphabet, free Lie
 # machinery (Dynkin-Specht-Wever test, Lyndon bases), the backwards-writing
-# operator, the last-letter decomposition, and cyclic words.
+# operator, the last-letter decomposition, and traces as least rotations.
 #
-# Words are plain tuples of alphabet symbols.  An NCPoly is a dict from word
-# to nonzero Fraction plus the alphabet it lives over; the alphabet order is
-# significant (it fixes Lyndon order and cyclic canonical forms).
+# Words are plain tuples of alphabet symbols, and a word weighs its length.
+# An NCPoly is a dict from word to nonzero Fraction plus the alphabet it lives
+# over; the alphabet order is significant (it fixes Lyndon order and least
+# rotations).  A cyclic word is stored as its least rotation, so a trace is an
+# NCPoly too.
 #
-# Two alphabets appear in practice: ("x", "y") for the Lie side, and
-# ("y1", "y2", ..., "yk") for the stuffle side, where the letter "yn" carries
-# weight n.  Weight of any other symbol is 1, so on ("x", "y") weight equals
-# word length.
+# The Lie side works over ("x", "y").  The letters "y1", "y2", ... are only
+# the output alphabet of liealg.pi_Y; they carry no weight.
 
 from fractions import Fraction
 from functools import lru_cache
@@ -28,22 +28,6 @@ class NotHomogeneous(ValueError):
 
 class HasConstantTerm(ValueError):
     pass
-
-
-def letter_weight(sym):
-    """Weight of a single alphabet symbol: trailing digits if present
-    ("y3" -> 3), otherwise 1 ("x", "y" -> 1)."""
-    s = str(sym)
-    i = len(s)
-    while i > 0 and s[i - 1].isdigit():
-        i -= 1
-    if i == len(s):
-        return 1
-    return int(s[i:])
-
-
-def word_weight(word):
-    return sum(letter_weight(a) for a in word)
 
 
 class NCPoly:
@@ -98,7 +82,7 @@ class NCPoly:
         return not self.terms
 
     def _check(self, other):
-        assert isinstance(other, NCPoly), other
+        _check_ncpoly(other, "NCPoly arithmetic")
         if self.alphabet != other.alphabet:
             raise AlphabetError("alphabet mismatch: %r vs %r" % (self.alphabet, other.alphabet))
 
@@ -153,25 +137,29 @@ class NCPoly:
 XY = ("x", "y")
 
 
-def _check_xy(p, name):
-    """Refuse anything but an NCPoly over the alphabet ("x", "y")."""
+def _check_ncpoly(p, name):
     if not isinstance(p, NCPoly):
         raise TypeError("%s needs an NCPoly, got %s" % (name, type(p).__name__))
+
+
+def _check_xy(p, name):
+    """Refuse anything but an NCPoly over the alphabet ("x", "y")."""
+    _check_ncpoly(p, name)
     if p.alphabet != XY:
         raise AlphabetError("%s needs the alphabet %r, got %r" % (name, XY, p.alphabet))
 
 
 def coefficient(p, word):
     """c_W(p): the stored coefficient of the word (0 if absent)."""
-    assert isinstance(p, NCPoly), p
+    _check_ncpoly(p, "coefficient")
     return p.terms.get(tuple(word), Fraction(0))
 
 
 def homogeneous_weight(p):
-    """Common weight of all words of p.  Zero polynomial -> None.
-    Mixed weights -> NotHomogeneous."""
-    assert isinstance(p, NCPoly), p
-    ws = {word_weight(w) for w in p.terms}
+    """Common length of all words of p.  Zero polynomial -> None.
+    Mixed lengths -> NotHomogeneous."""
+    _check_ncpoly(p, "homogeneous_weight")
+    ws = {len(w) for w in p.terms}
     if not ws:
         return None
     if len(ws) > 1:
@@ -179,17 +167,10 @@ def homogeneous_weight(p):
     return ws.pop()
 
 
-def _weight_parts(p):
-    """Split into homogeneous components, mapping weight -> NCPoly."""
-    parts = {}
-    for wd, c in p.terms.items():
-        parts.setdefault(word_weight(wd), {})[wd] = c
-    return {k: NCPoly._raw(p.alphabet, t) for k, t in sorted(parts.items())}
-
-
 def lie_bracket(a, b):
     """[a, b] = ab - ba."""
-    assert isinstance(a, NCPoly) and isinstance(b, NCPoly), (a, b)
+    _check_ncpoly(a, "lie_bracket")
+    _check_ncpoly(b, "lie_bracket")
     if a.alphabet != b.alphabet:
         raise AlphabetError("alphabet mismatch: %r vs %r" % (a.alphabet, b.alphabet))
     return a * b - b * a
@@ -207,7 +188,7 @@ def _left_bracketing(alphabet, word):
 def is_lie(p):
     """Dynkin-Specht-Wever: for p homogeneous of word length n >= 1,
     p is a Lie element iff sum_W c_W [[..[a1,a2]..],an] equals n*p."""
-    assert isinstance(p, NCPoly), p
+    _check_ncpoly(p, "is_lie")
     if p.is_zero():
         return True
     lengths = {len(w) for w in p.terms}
@@ -302,13 +283,13 @@ def lyndon_basis(w, alphabet):
 
 def anti(p):
     """Backwards-writing operator: reverse every word."""
-    assert isinstance(p, NCPoly), p
+    _check_ncpoly(p, "anti")
     return NCPoly._raw(p.alphabet, {w[::-1]: c for w, c in p.terms.items()})
 
 
 def scale_letter(p, sym, c):
     """Rescale every word by c to the power of its sym-letter count."""
-    assert isinstance(p, NCPoly), p
+    _check_ncpoly(p, "scale_letter")
     if sym not in p.alphabet:
         raise AlphabetError("scale_letter: %r is not in the alphabet %r"
                             % (sym, p.alphabet))
@@ -324,7 +305,7 @@ def scale_letter(p, sym, c):
 def is_anti_palindromic(p, w):
     """True iff p = (-1)^w * anti(p).  p must be homogeneous of weight w
     (zero passes for any w)."""
-    assert isinstance(p, NCPoly), p
+    _check_ncpoly(p, "is_anti_palindromic")
     if p.is_zero():
         return True
     pw = homogeneous_weight(p)
@@ -337,7 +318,7 @@ def is_anti_palindromic(p, w):
 def decompose_right(p):
     """Split by last letter: p = sum_a p_a * a, returned as a tuple of
     NCPoly aligned with the alphabet order.  On ("x","y"): (p_x, p_y)."""
-    assert isinstance(p, NCPoly), p
+    _check_ncpoly(p, "decompose_right")
     if () in p.terms:
         raise HasConstantTerm("constant term %s present" % p.terms[()])
     parts = {a: {} for a in p.alphabet}
@@ -357,65 +338,13 @@ def _min_rotation(word, index):
     return word[best:] + word[:best]
 
 
-class CyclicCombination:
-    """Linear combination of cyclic words, keyed by the lexicographically
-    minimal rotation under the alphabet order."""
-
-    __slots__ = ("alphabet", "terms")
-
-    def __init__(self, alphabet, terms=None):
-        alphabet = tuple(alphabet)
-        index = {a: i for i, a in enumerate(alphabet)}
-        out = {}
-        for w, c in (terms or {}).items():
-            w = _min_rotation(tuple(w), index)
-            c = rat(c)
-            if c:
-                out[w] = out.get(w, Fraction(0)) + c
-                if not out[w]:
-                    del out[w]
-        self.alphabet = alphabet
-        self.terms = out
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, CyclicCombination):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.alphabet, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        assert isinstance(other, CyclicCombination), other
-        assert self.alphabet == other.alphabet, (self.alphabet, other.alphabet)
-        out = CyclicCombination(self.alphabet)
-        out.terms = _sp.add_terms(self.terms, other.terms)
-        return out
-
-    def __sub__(self, other):
-        assert isinstance(other, CyclicCombination), other
-        assert self.alphabet == other.alphabet, (self.alphabet, other.alphabet)
-        out = CyclicCombination(self.alphabet)
-        out.terms = _sp.sub_terms(self.terms, other.terms)
-        return out
-
-    def __rmul__(self, c):
-        out = CyclicCombination(self.alphabet)
-        out.terms = _sp.scale_terms(self.terms, rat(c))
-        return out
-
-    def __repr__(self):
-        if not self.terms:
-            return "CyclicCombination(0)"
-        bits = ["%s*cyc(%s)" % (c, "".join(str(a) for a in w))
-                for w, c in sorted(self.terms.items())]
-        return "CyclicCombination(%s)" % " + ".join(bits)
-
-
 def trace(p):
-    """Natural projection onto cyclic words (rotations identified)."""
-    assert isinstance(p, NCPoly), p
-    return CyclicCombination(p.alphabet, dict(p.terms))
+    """The projection onto cyclic words: each word goes to its least
+    rotation under the alphabet order, with coefficients summed."""
+    _check_ncpoly(p, "trace")
+    index = {a: i for i, a in enumerate(p.alphabet)}
+    out = {}
+    for w, c in p.terms.items():
+        w = _min_rotation(w, index)
+        out[w] = out.get(w, 0) + c
+    return NCPoly._raw(p.alphabet, {w: c for w, c in out.items() if c})

@@ -8,6 +8,7 @@
 # linearly on the input mould.  The graded solvers exploit exactly that.
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -294,23 +295,28 @@ def in_ari_al_star_il(mo):
 # of weight w, and no alternality rows.  At w = 1, ma(x) = 0, so w >= 2.
 # Before it solves, _lie_columns certifies the two facts it relies on at the
 # weight in hand: every column is alternal, and the columns are independent
-# (one null space over their components, depth by depth, is empty).  After
-# that each solver imposes only the conditions on the swap side.
+# (one null space over their components, depth by depth, is empty).  The
+# certified columns are kept, one tuple per weight, so both graded spaces of
+# a weight share one certificate.  After that each solver imposes only the
+# conditions on the swap side.
 
 def _lie_columns(w, name):
     """The ma images of lyndon_basis(w, XY), certified alternal and
-    independent."""
+    independent; callers only read the shared tuple."""
     if not isinstance(w, int) or w < 2:
         raise ValueError("%s needs a weight w >= 2, got %r" % (name, w))
-    basis = [ma(b) for b in lyndon_basis(w, XY)]
+    return _certified_lie_columns(w)
+
+
+@lru_cache(maxsize=16)
+def _certified_lie_columns(w):
+    basis = tuple(ma(b) for b in lyndon_basis(w, XY))
     for j, b in enumerate(basis):
         if alternal_witness(b) is not None:
-            raise ArithmeticError("%s: Lie column %d of weight %d is not alternal"
-                                  % (name, j, w))
+            raise ArithmeticError("Lie column %d of weight %d is not alternal" % (j, w))
     depths = [[b.component(m).terms for b in basis] for m in range(1, w + 1)]
     if nullspace(RatMatrix(len(basis), *depths)):
-        raise ArithmeticError("%s: the Lie columns of weight %d are dependent"
-                              % (name, w))
+        raise ArithmeticError("the Lie columns of weight %d are dependent" % w)
     return basis
 
 

@@ -137,6 +137,20 @@ def test_ma_linear_and_constant_part():
     assert ma(h1 + h2) == ma(h1) + ma(h2)
 
 
+@settings(deadline=None, max_examples=40)
+@given(nc_polys(max_len=6))
+def test_ma_of_inhomogeneous_is_the_sum_over_weight_parts(h):
+    parts = {}
+    for wd, c in h.terms.items():
+        parts.setdefault(len(wd), {})[wd] = c
+    want = Mould.zero(0)
+    for terms in parts.values():
+        want = want + ma(NCPoly(XY, terms))
+    got = ma(h)
+    assert got == want
+    assert got.depth == max(map(len, h.terms), default=0)
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(2, 5).flatmap(lie_elements))
 def test_ma_of_lie_is_alternal(f):

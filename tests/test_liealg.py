@@ -34,6 +34,7 @@ from mouldkit.liealg import (
 from mouldkit.ncword import (
     NCPoly,
     coefficient,
+    decompose_right,
     lie_bracket,
     lyndon_basis,
     scale_letter,
@@ -270,6 +271,41 @@ def test_kv2_weight3_pin(a):
 def test_kv2_not_proportional():
     got = kv2_check(P2, NCPoly.zero(XY), 3)
     assert isinstance(got, NoSolution), got
+
+
+def _kv2_reference(F, G, w):
+    """kv2_check through the last-letter decomposition and NCPoly products:
+    alpha, or None when the traces are not proportional."""
+    lhs = trace(decompose_right(G)[0] * X + decompose_right(F)[1] * Y)
+    rhs = trace((X + Y) ** w - X ** w - Y ** w)
+    key = min(rhs.terms)
+    alpha = lhs.terms.get(key, Fraction(0)) / rhs.terms[key]
+    return alpha if lhs == alpha * rhs else None
+
+
+def homogeneous(w):
+    words = st.lists(st.sampled_from("xy"), min_size=w, max_size=w).map(tuple)
+    return st.dictionaries(words, rationals(), max_size=6).map(lambda d: NCPoly(XY, d))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 7).flatmap(
+    lambda w: st.tuples(st.just(w), lie_elements(w), homogeneous(w), st.booleans())))
+def test_kv2_check_matches_the_decomposition_form(case):
+    w, F, G, solve = case
+    if solve and not isinstance(solve_G(F, w), NoSolution):
+        G = solve_G(F, w)
+    got = kv2_check(F, G, w)
+    want = _kv2_reference(F, G, w)
+    assert (None if isinstance(got, NoSolution) else got) == want
+
+
+@pytest.mark.parametrize("w", [3, 5, 7, 8])
+def test_kv2_check_matches_the_decomposition_form_on_krv(w):
+    for F in krv_basis(w).elements():
+        G = solve_G(F, w)
+        alpha = kv2_check(F, G, w)
+        assert not isinstance(alpha, NoSolution) and alpha == _kv2_reference(F, G, w)
 
 
 # --- is_krv --------------------------------------------------------------

@@ -112,6 +112,14 @@ def test_from_components_rejects_bad_components(depth, comps):
         Mould.from_components(depth, comps)
 
 
+@pytest.mark.parametrize("other", [1, Fraction(1), MultiPoly.zero(1), None])
+def test_mould_arithmetic_rejects_non_moulds(other):
+    with pytest.raises(TypeError, match="Mould arithmetic"):
+        Mould.zero(1) + other
+    with pytest.raises(TypeError, match="Mould arithmetic"):
+        Mould.zero(1) - other
+
+
 def test_input_validation_survives_optimize():
     # python -O strips assert statements; the checks must not depend on them
     src = Path(__file__).resolve().parents[1] / "src"
@@ -121,7 +129,8 @@ def test_input_validation_survives_optimize():
         "cases = [lambda: MultiPoly(-1), lambda: MultiPoly(2, {(1,): 1}),",
         "         lambda: MultiPoly(1, {(-1,): 1}), lambda: Mould([]),",
         "         lambda: Mould([0, MultiPoly.var(2, 0)]), lambda: Mould([0, 'x1']),",
-        "         lambda: Mould.from_components(2, {2: MultiPoly.var(3, 0)})]",
+        "         lambda: Mould.from_components(2, {2: MultiPoly.var(3, 0)}),",
+        "         lambda: Mould.zero(1) + 1, lambda: Mould.zero(1) - 1]",
         "for case in cases:",
         "    try:",
         "        case()",

@@ -1,5 +1,5 @@
 # Tests for ncword: words, Lie machinery, palindromes, decompositions and
-# cyclic words; and the shuffle and quasi-shuffle of words in plain
+# traces; and the shuffle and quasi-shuffle of words in plain
 # variables, the definitions that alternality and alternility are checked
 # against.
 
@@ -17,7 +17,6 @@ from mouldkit import ncword
 from mouldkit.mould import Mould
 from mouldkit.ncword import (
     AlphabetError,
-    CyclicCombination,
     HasConstantTerm,
     NCPoly,
     NotHomogeneous,
@@ -27,14 +26,12 @@ from mouldkit.ncword import (
     homogeneous_weight,
     is_anti_palindromic,
     is_lie,
-    letter_weight,
     lie_bracket,
     lyndon_basis,
     lyndon_bracketing,
     lyndon_words,
     scale_letter,
     trace,
-    word_weight,
 )
 from mouldkit.symmetry import alternality_defect, alternility_defect
 
@@ -51,18 +48,12 @@ Y = NCPoly.letter(XY, "y")
 
 
 # --------------------------------------------------------------------------
-# letters, weights
-
-def test_letter_weight():
-    assert letter_weight("x") == 1
-    assert letter_weight("y") == 1
-    assert letter_weight("y1") == 1
-    assert letter_weight("y12") == 12
-    assert word_weight(("y3", "y1", "x")) == 5
-
+# weights
 
 def test_homogeneous_weight():
     assert homogeneous_weight(P({"xy": 1, "yx": -1})) == 2
+    # a word weighs its length, whatever its letters are called
+    assert homogeneous_weight(NCPoly(("y1", "y12"), {("y12", "y1"): 1})) == 2
     assert homogeneous_weight(NCPoly.zero(XY)) is None
     with pytest.raises(NotHomogeneous):
         homogeneous_weight(P({"x": 1, "xy": 1}))
@@ -219,6 +210,55 @@ def test_lyndon_rejects_bad_arguments(case, lyndon_raised_under_optimize):
     assert lyndon_raised_under_optimize[case] == "True True True"
 
 
+# Every entry point refuses a non-NCPoly with a TypeError that names it,
+# also under python -O.
+NCPOLY_CALLS = {
+    "NCPoly arithmetic": "X + 3",
+    "coefficient": "ncword.coefficient(3, ('x',))",
+    "homogeneous_weight": "ncword.homogeneous_weight(3)",
+    "lie_bracket": "ncword.lie_bracket(X, 3)",
+    "is_lie": "ncword.is_lie(3)",
+    "anti": "ncword.anti(3)",
+    "scale_letter": "ncword.scale_letter(3, 'y', -1)",
+    "is_anti_palindromic": "ncword.is_anti_palindromic(3, 2)",
+    "decompose_right": "ncword.decompose_right(3)",
+    "trace": "ncword.trace(3)",
+}
+
+_TYPE_RAISED = """
+import mouldkit.ncword as ncword
+X = ncword.NCPoly.letter(("x", "y"), "x")
+for name, call in CALLS.items():
+    try:
+        eval(call, {"ncword": ncword, "X": X})
+    except Exception as e:
+        print(name, "|", type(e).__name__, name in str(e))
+    else:
+        print(name, "|", "nothing")
+"""
+
+
+@pytest.fixture(scope="module")
+def type_raised_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", "CALLS = %r\n%s" % (NCPOLY_CALLS, _TYPE_RAISED)],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return dict(line.split(" | ") for line in done.stdout.splitlines())
+
+
+@pytest.mark.parametrize("name", sorted(NCPOLY_CALLS))
+def test_ncpoly_entry_points_reject_other_types(name, type_raised_under_optimize):
+    with pytest.raises(TypeError, match=name):
+        eval(NCPOLY_CALLS[name], {"ncword": ncword, "X": X})
+    assert type_raised_under_optimize[name] == "TypeError True"
+
+
 # --------------------------------------------------------------------------
 # anti / palindromes
 
@@ -259,14 +299,18 @@ def test_decompose_right_pins():
 
 
 # --------------------------------------------------------------------------
-# trace / cyclic words
+# trace: each word goes to its least rotation
 
 def test_trace_pins():
     assert trace(P({"xy": 1, "yx": -1})).is_zero()
-    two_xxy = CyclicCombination(XY, {("x", "x", "y"): 2})
-    assert trace(P({"xxy": 1, "xyx": 1})) == two_xxy
+    assert trace(P({"xxy": 1, "xyx": 1})) == P({"xxy": 2})
+    assert trace(P({"yxy": 3, "yyx": -1, "x": 1})) == P({"xyy": 2, "x": 1})
     s = (X + Y) ** 2 - X * X - Y * Y
-    assert trace(s) == CyclicCombination(XY, {("x", "y"): 2})
+    assert trace(s) == P({"xy": 2})
+    assert trace(NCPoly.one(XY)) == NCPoly.one(XY)
+    # the alphabet order decides which rotation is least
+    YX = ("y", "x")
+    assert trace(NCPoly(YX, {("x", "y"): 1})) == NCPoly(YX, {("y", "x"): 1})
 
 
 def test_coefficient_pins():
@@ -304,6 +348,7 @@ def test_anti_is_involutive_antihomomorphism(p, q):
 @given(ncpolys(), ncpolys())
 def test_trace_is_cyclic(p, q):
     assert trace(p * q) == trace(q * p)
+    assert trace(trace(p)) == trace(p)
 
 
 @given(ncpolys())

@@ -368,8 +368,21 @@ def test_graded_spaces_span_the_monomial_reference(w):
         assert _rank(new + ref) == len(new) == len(ref), (name, len(new), len(ref))
 
 
+def test_lie_columns_are_certified_once_per_weight():
+    columns = mouldkit.symmetry._lie_columns(4, "ari_alil_space")
+    assert mouldkit.symmetry._lie_columns(4, "ari_sena_pusnu_space") is columns
+    assert len(columns) == 3
+    # the weight check stays in front of the shared columns and names the caller
+    for w in (1, 0, "4"):
+        with pytest.raises(ValueError, match="ari_sena_pusnu_space needs a weight"):
+            ari_sena_pusnu_space(w)
+
+
 def test_failed_column_certificate_raises(monkeypatch, capsys):
-    # a column that is not alternal, then the same Lie column twice
+    # a column that is not alternal, then the same Lie column twice; the
+    # certified columns are kept per weight, so start from an empty store
+    certified = mouldkit.symmetry._certified_lie_columns
+    certified.cache_clear()
     monkeypatch.setattr(mouldkit.symmetry, "ma", lambda h: Mo(3, {2: {(1, 0): 1}}))
     with pytest.raises(ArithmeticError, match="not alternal"):
         ari_alil_space(3)
@@ -381,6 +394,8 @@ def test_failed_column_certificate_raises(monkeypatch, capsys):
     # an internal error, not a failed check
     assert cli.main(["paper-suite", "--max-weight", "3"]) == 3
     assert "dependent" in capsys.readouterr().err
+    # a failed certificate is never kept
+    assert certified.cache_info().currsize == 0
 
 
 def test_ari_alil_space_weight3():
