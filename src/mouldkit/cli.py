@@ -82,7 +82,8 @@ def parse_rat(s, loc):
 
 
 def poly_to_json(p):
-    assert isinstance(p, NCPoly), p
+    if not isinstance(p, NCPoly):
+        raise TypeError("poly_to_json needs an NCPoly, got %s" % type(p).__name__)
     out = []
     for wd in sorted(p.terms):
         out.append({"coeff": fmt_rat(p.terms[wd]), "word": "".join(wd)})
@@ -106,7 +107,8 @@ def poly_from_json(obj, loc="input"):
 
 
 def mp_to_json(poly):
-    assert isinstance(poly, MultiPoly), poly
+    if not isinstance(poly, MultiPoly):
+        raise TypeError("mp_to_json needs a MultiPoly, got %s" % type(poly).__name__)
     out = []
     for e in sorted(poly.terms):
         out.append({"coeff": fmt_rat(poly.terms[e]), "exponents": list(e)})
@@ -114,7 +116,8 @@ def mp_to_json(poly):
 
 
 def mould_to_json(m):
-    assert isinstance(m, Mould), m
+    if not isinstance(m, Mould):
+        raise TypeError("mould_to_json needs a Mould, got %s" % type(m).__name__)
     out = {}
     out["0"] = (
         [{"coeff": fmt_rat(m.component(0)), "exponents": []}]

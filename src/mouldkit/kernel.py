@@ -12,7 +12,7 @@
 #
 # Conventions:
 #   - variables are indexed 0..nvars-1 internally; printing uses x1..xn
-#   - a "linear form" is a coefficient tuple over the target variables
+#   - a "linear form" is an int coefficient tuple over the target variables
 #   - lexicographic order on exponent tuples is the monomial order of
 #     exact_div, which only the tests use, as an independent reference
 #
@@ -229,14 +229,17 @@ class MultiPoly:
 
 
 def substitute(p, forms, out_nvars):
-    """Substitute a linear form for every variable of p.
+    """Substitute an integer linear form for every variable of p.
 
-    forms is a sequence of length p.nvars; forms[i] is the coefficient
-    tuple (length out_nvars) of the linear form replacing variable i.
-    Returns the expanded polynomial in out_nvars variables.  This one
-    function realizes every variable change in the package (swap, push,
-    collision maps, prefix-sum evaluation, and so on)."""
-    assert isinstance(p, MultiPoly), p
+    forms is a sequence of length p.nvars; forms[i] is the int coefficient
+    tuple (length out_nvars) of the linear form replacing variable i.  An
+    entry that is not exactly an int (a Fraction, a float, a bool) raises
+    MalformedSubstitution.  Returns the expanded polynomial in out_nvars
+    variables.  Every linear change of variables in the package (swap,
+    push, teru, the u-map, both senary sides, ma) is one call; renamings
+    and placements go through embed_vars instead."""
+    if not isinstance(p, MultiPoly):
+        raise TypeError("substitute needs a MultiPoly, got %s" % type(p).__name__)
     if len(forms) != p.nvars:
         raise MalformedSubstitution(
             "expected %d forms, got %d" % (p.nvars, len(forms))
@@ -248,37 +251,25 @@ def substitute(p, forms, out_nvars):
             raise MalformedSubstitution(
                 "form %r does not have %d coefficients" % (f, out_nvars)
             )
-        rows.append([rat(c) for c in f])
+        if not all(type(c) is int for c in f):
+            raise MalformedSubstitution("form %r needs int coefficients" % (f,))
+        rows.append(f)
     if not p.terms:
         return MultiPoly.zero(out_nvars)
     # Each output exponent is at most the total degree of its source term,
     # so monomials pack into ints in base B (variable j weighs B**j) and a
-    # monomial product is one int addition.  Each form is scaled to integer
-    # coefficients, f_i = g_i / d_i, and the term coefficients c / prod
-    # d_i^e_i go over one common denominator L, so all the expansion runs in
-    # ints and one Fraction is made per output monomial.
+    # monomial product is one int addition.  The term coefficients go over
+    # one common denominator L, so all the expansion runs in ints and one
+    # Fraction is made per output monomial.
     B = max(sum(e) for e in p.terms) + 1
-    base, dens = [], []
-    for f in rows:
-        d = lcm(*(c.denominator for c in f))
-        base.append(
-            {B**j: c.numerator * (d // c.denominator) for j, c in enumerate(f) if c}
-        )
-        dens.append(d)
-
-    scaled = []
-    for e, c in p.terms.items():
-        den = 1
-        for d, ei in zip(dens, e):
-            den *= d**ei
-        scaled.append((e, c / den))
-    L = lcm(*(s.denominator for _, s in scaled))
+    base = [{B**j: c for j, c in enumerate(f) if c} for f in rows]
+    L = lcm(*(c.denominator for c in p.terms.values()))
 
     # powers of each substituted form, built on demand and reused across terms
     pow_cache = [[{0: 1}] for _ in range(p.nvars)]
     out = {}
-    for e, s in scaled:
-        term = {0: s.numerator * (L // s.denominator)}
+    for e, c in p.terms.items():
+        term = {0: c.numerator * (L // c.denominator)}
         for i, ei in enumerate(e):
             if not ei:
                 continue
@@ -308,26 +299,10 @@ def substitute(p, forms, out_nvars):
     return MultiPoly._raw(out_nvars, terms)
 
 
-def permute_vars(p, perm):
-    """Rename variables: new variable perm[i] receives old variable i.
-
-    perm is a permutation of range(p.nvars).  Cheaper than substitute for
-    the operators that only shuffle arguments (mantar, rotations)."""
-    if sorted(perm) != list(range(p.nvars)):
-        raise ValueError("permute_vars needs a permutation of range(%d), got %r"
-                         % (p.nvars, perm))
-    out = {}
-    for e, c in p.terms.items():
-        ne = [0] * p.nvars
-        for i, k in enumerate(e):
-            ne[perm[i]] = k
-        out[tuple(ne)] = c
-    return MultiPoly._raw(p.nvars, out)
-
-
 def embed_vars(p, positions, out_nvars):
     """View p as a polynomial in out_nvars variables, sending old variable i
-    to new variable positions[i].  Positions must be distinct."""
+    to new variable positions[i].  Positions must be distinct; with
+    out_nvars = p.nvars this renames p's variables by a permutation."""
     if (len(positions) != p.nvars or len(set(positions)) != p.nvars
             or not all(0 <= k < out_nvars for k in positions)):
         raise ValueError("embed_vars needs %d distinct positions in 0..%d, got %r"
@@ -367,8 +342,11 @@ def exact_div(p, q):
     No operator in the package divides any more (divided_difference expands
     its quotient directly); exact_div stays as the tests' independent
     reference for those expansions."""
-    assert isinstance(p, MultiPoly) and isinstance(q, MultiPoly), (p, q)
-    assert p.nvars == q.nvars, (p.nvars, q.nvars)
+    if not (isinstance(p, MultiPoly) and isinstance(q, MultiPoly)):
+        raise TypeError("exact_div needs two MultiPolys, got %s and %s"
+                        % (type(p).__name__, type(q).__name__))
+    if p.nvars != q.nvars:
+        raise ValueError("exact_div of %d and %d variables" % (p.nvars, q.nvars))
     if q.is_zero():
         raise ZeroDivisionError("exact_div by zero polynomial")
     if p.is_zero():

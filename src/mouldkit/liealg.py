@@ -159,10 +159,6 @@ def kv2_check(F, G, w):
     _check_kv_input("kv2_check", w, F, G)
     lhs = trace(_ending(G, "x") + _ending(F, "y"))
     rhs = _kv2_target(w)
-    if rhs.is_zero():
-        if lhs.is_zero():
-            return Fraction(0)
-        return NoSolution("zero target trace with nonzero left side")
     key = min(rhs.terms)
     alpha = lhs.terms.get(key, Fraction(0)) / rhs.terms[key]
     if lhs == alpha * rhs:

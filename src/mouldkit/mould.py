@@ -1,7 +1,9 @@
 # Moulds: finite sequences (M^0, M^1(x1), ..., M^D(x1..xD)) with M^m a
 # polynomial in m commuting variables, together with the elementary operators:
 # the deconcatenation product, swap, push, mantar, teru, the components of
-# the u-map, collision maps, and pus-neutrality.
+# the u-map and of the collision maps, and pus-neutrality.  Arguments move
+# in two ways only: substitute for an integer linear change of variables,
+# embed_vars for every placement or renaming.
 #
 # Depth bookkeeping: swap/push/mantar keep the declared depth; teru
 # returns depth D+1 because its top component is genuinely nonzero for
@@ -11,7 +13,7 @@
 from fractions import Fraction
 
 from . import _speed as _sp
-from .kernel import MultiPoly, divided_difference, embed_vars, permute_vars, rat, substitute
+from .kernel import MultiPoly, divided_difference, embed_vars, rat, substitute
 
 
 class SlotError(ValueError):
@@ -171,24 +173,18 @@ def mould_mul(a, b):
 # ---------------------------------------------------------------------------
 # argument-substitution operators (depth preserved)
 
-def _unit_form(m, j):
-    return tuple(Fraction(int(k == j)) for k in range(m))
-
-
 def swap(mo):
     """swap(M)^m(v_1..v_m) = M^m(v_m, v_{m-1}-v_m, ..., v_1-v_2)."""
     _check_mould(mo, "swap")
     comps = [mo.components[0]]
     for m in range(1, mo.depth + 1):
         forms = []
-        for k in range(1, m + 1):  # old slot k
-            if k == 1:
-                forms.append(_unit_form(m, m - 1))
-            else:
-                f = [Fraction(0)] * m
-                f[m - k] = Fraction(1)
-                f[m - k + 1] = Fraction(-1)
-                forms.append(tuple(f))
+        for k in range(1, m + 1):  # old slot k gets v_{m-k+1} - v_{m-k+2}
+            f = [0] * m
+            f[m - k] = 1
+            if k > 1:
+                f[m - k + 1] = -1
+            forms.append(tuple(f))
         comps.append(substitute(mo.components[m], forms, m))
     return Mould(comps)
 
@@ -198,9 +194,7 @@ def push(mo):
     _check_mould(mo, "push")
     comps = [mo.components[0]]
     for m in range(1, mo.depth + 1):
-        forms = [tuple(Fraction(-1) for _ in range(m))]
-        for k in range(2, m + 1):
-            forms.append(_unit_form(m, k - 2))
+        forms = [(-1,) * m] + [tuple(int(k == j) for k in range(m)) for j in range(m - 1)]
         comps.append(substitute(mo.components[m], forms, m))
     return Mould(comps)
 
@@ -210,8 +204,7 @@ def mantar(mo):
     _check_mould(mo, "mantar")
     comps = [mo.components[0]]
     for m in range(1, mo.depth + 1):
-        perm = [m - 1 - j for j in range(m)]
-        p = permute_vars(mo.components[m], perm)
+        p = embed_vars(mo.components[m], [m - 1 - j for j in range(m)], m)
         if m % 2 == 0:
             p = Fraction(-1) * p
         comps.append(p)
@@ -219,7 +212,7 @@ def mantar(mo):
 
 
 # ---------------------------------------------------------------------------
-# teru, the u-map, collisions (depth grows to D+1)
+# teru (depth grows to D+1), the u-map and collision components
 
 def teru(mo):
     """teru(M)^m = M^m + (1/u_m){M^{m-1}(u_1,..,u_{m-2},u_{m-1}+u_m)
@@ -235,8 +228,9 @@ def teru(mo):
         comps.append(mo.components[1])
     for m in range(2, mo.depth + 2):
         prev = embed_vars(mo.component(m - 1), list(range(m - 1)), m)
-        forms = [_unit_form(m, j) for j in range(m - 1)] + [_unit_form(m, m - 2)]
-        forms[m - 2] = tuple(Fraction(int(k >= m - 2)) for k in range(m))
+        forms = [tuple(int(k == j) for k in range(m)) for j in range(m - 2)]
+        forms += [tuple(int(k >= m - 2) for k in range(m)),
+                  tuple(int(k == m - 2) for k in range(m))]
         corr = substitute(divided_difference(prev, m - 2, m - 1), forms, m)
         comps.append(mo.component(m) + corr)
     return Mould(comps)
@@ -252,30 +246,24 @@ def u_component(mo, m):
         return mo.component(1)
     forms = []
     for k in range(1, m):  # old slot k gets x_{m-k+1} - x_{m-k+2}, mod m
-        f = [Fraction(0)] * m
-        f[m - k], f[(m - k + 1) % m] = Fraction(1), Fraction(-1)
+        f = [0] * m
+        f[m - k], f[(m - k + 1) % m] = 1, -1
         forms.append(tuple(f))
     return substitute(mo.component(m - 1), forms, m)
 
 
 def coll(mo, m, i):
-    """Collision map: replace component m by the divided difference
+    """The depth-m component of the collision map at slots (i, i+1), a
+    MultiPoly in m variables: the divided difference
     (1/(x_i - x_{i+1})) { M^{m-1}(args without x_{i+1})
-                        - M^{m-1}(args without x_i) };
-    every other component is unchanged.  The second evaluation is the first
-    with x_i renamed x_{i+1}, so the new component is the divided_difference
-    of the first in slots (x_i, x_{i+1})."""
+                        - M^{m-1}(args without x_i) }.
+    The second evaluation is the first with x_i renamed x_{i+1}, so this is
+    the divided_difference of the first in slots (x_i, x_{i+1})."""
     _check_mould(mo, "coll")
     if not (2 <= m and 1 <= i <= m - 1):
         raise SlotError("coll slot (m=%s, i=%s) out of range" % (m, i))
     slots = [j if j < i else j + 1 for j in range(m - 1)]  # no x_{i+1}
-    new_comp = divided_difference(embed_vars(mo.component(m - 1), slots, m), i - 1, i)
-    depth = max(mo.depth, m)
-    out = Mould.zero(depth)
-    out.components[0] = mo.components[0]
-    for k in range(1, depth + 1):
-        out.components[k] = new_comp if k == m else mo.component(k)
-    return out
+    return divided_difference(embed_vars(mo.component(m - 1), slots, m), i - 1, i)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +275,7 @@ def pus_sum(mo, m):
     comp = mo.component(m)
     total = MultiPoly.zero(m)
     for i in range(m):
-        perm = [(j + i) % m for j in range(m)]
-        total = total + permute_vars(comp, perm)
+        total = total + embed_vars(comp, [(j + i) % m for j in range(m)], m)
     return total
 
 

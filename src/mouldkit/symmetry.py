@@ -9,7 +9,6 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from .bridge import XY, ma
@@ -20,7 +19,6 @@ from .kernel import (
     divided_difference,
     embed_vars,
     nullspace,
-    permute_vars,
     substitute,
 )
 from .mould import (
@@ -49,37 +47,40 @@ class AlternilityCertificate:
 
 
 # ---------------------------------------------------------------------------
-# alternality
+# alternality and alternility
+#
+# The (p,q) alternility sum is Ecalle's quasi-shuffle of x_1..x_p with
+# x_{p+1}..x_{p+q}, contraction coefficients 1/(y_u - y_v), evaluated on N.
+# With the coefficients specialized at y_i = x_i it is computed by a
+# divided-difference recursion:
+# interleave the two blocks letter by letter, and each contraction of a pair
+# (x_u, x_v) contributes the divided difference of the two single-letter
+# continuations.  x_v occurs in neither block of the continuation that
+# contracts to x_u, so the other one is it with x_u renamed x_v, and the
+# contraction is the divided_difference of the first alone: three recursive
+# calls per step, and nothing is divided.  The (p,q) alternality sum, the
+# plain shuffle, is the same recursion without the contraction branch.
 
-def _shuffle_perms(p, q):
-    """Argument permutations realizing the (p,q) shuffles.
-
-    A shuffle alpha places x_1..x_p (in order) at a chosen p-subset of the
-    m = p + q argument slots and x_{p+1}..x_{p+q} (in order) at the rest.
-    Evaluating M^m(alpha) = permute_vars(M^m, perm) needs perm indexed by
-    argument slot: slot s carries variable perm[s]."""
-    m = p + q
-    for pos in combinations(range(m), p):
-        slot_var = [0] * m
-        others = [i for i in range(m) if i not in pos]
-        for k, slot in enumerate(pos):
-            slot_var[slot] = k
-        for k, slot in enumerate(others):
-            slot_var[slot] = p + k
-        yield slot_var
+def _shuffle_eval(mo, omega, eta, rho, nvars, contract):
+    if not omega or not eta:
+        args = rho + omega + eta
+        return embed_vars(mo.component(len(args)), list(args), nvars)
+    u, v = omega[0], eta[0]
+    a = _shuffle_eval(mo, omega[1:], eta, rho + (u,), nvars, contract)
+    b = _shuffle_eval(mo, omega, eta[1:], rho + (v,), nvars, contract)
+    if not contract:
+        return a + b
+    cu = _shuffle_eval(mo, omega[1:], eta[1:], rho + (u,), nvars, contract)
+    return a + b + divided_difference(cu, u, v)
 
 
 def alternality_defect(mo, p, q):
     """The (p,q) shuffle sum of the depth p+q component, as a polynomial."""
     _check_mould(mo, "alternality_defect")
     m = p + q
-    comp = mo.component(m)
-    total = MultiPoly.zero(m)
-    if comp.is_zero():
-        return total
-    for perm in _shuffle_perms(p, q):
-        total = total + permute_vars(comp, perm)
-    return total
+    if mo.component(m).is_zero():
+        return MultiPoly.zero(m)
+    return _shuffle_eval(mo, tuple(range(p)), tuple(range(p, m)), (), m, False)
 
 
 def alternal_witness(mo):
@@ -105,38 +106,11 @@ def is_alternal(mo):
     return alternal_witness(mo) is None
 
 
-# ---------------------------------------------------------------------------
-# alternility
-#
-# The (p,q) alternility sum is Ecalle's quasi-shuffle of x_1..x_p with
-# x_{p+1}..x_{p+q}, contraction coefficients 1/(y_u - y_v), evaluated on N.
-# With the coefficients specialized at y_i = x_i it is computed by a
-# divided-difference recursion:
-# interleave the two blocks letter by letter, and each contraction of a pair
-# (x_u, x_v) contributes the divided difference of the two single-letter
-# continuations.  x_v occurs in neither block of the continuation that
-# contracts to x_u, so the other one is it with x_u renamed x_v, and the
-# contraction is the divided_difference of the first alone: three recursive
-# calls per step, and nothing is divided.
-
-def _alternility_eval(mo, omega, eta, rho, nvars):
-    if not omega or not eta:
-        args = rho + omega + eta
-        return embed_vars(mo.component(len(args)), list(args), nvars)
-    u, v = omega[0], eta[0]
-    a = _alternility_eval(mo, omega[1:], eta, rho + (u,), nvars)
-    b = _alternility_eval(mo, omega, eta[1:], rho + (v,), nvars)
-    cu = _alternility_eval(mo, omega[1:], eta[1:], rho + (u,), nvars)
-    return a + b + divided_difference(cu, u, v)
-
-
 def alternility_defect(mo, p, q):
     """The (p,q) quasi-shuffle sum of N, poles collected, as a polynomial."""
     _check_mould(mo, "alternility_defect")
     n = p + q
-    return _alternility_eval(
-        mo, tuple(range(p)), tuple(range(p, n)), (), n
-    )
+    return _shuffle_eval(mo, tuple(range(p)), tuple(range(p, n)), (), n, True)
 
 
 def alternil_up_to_constant(mo):
@@ -200,9 +174,9 @@ def senary_lhs(mo, r):
         return mo.component(1)
     prev = embed_vars(mo.component(r - 1), list(range(r - 1)), r)
     # slot r-1 -> y_{r-1}+y_r, slot r -> y_{r-1}
-    forms = [tuple(Fraction(int(k == j)) for k in range(r)) for j in range(r)]
-    forms[r - 2] = tuple(Fraction(int(k >= r - 2)) for k in range(r))
-    forms[r - 1] = tuple(Fraction(int(k == r - 2)) for k in range(r))
+    forms = [tuple(int(k == j) for k in range(r)) for j in range(r - 2)]
+    forms += [tuple(int(k >= r - 2) for k in range(r)),
+              tuple(int(k == r - 2) for k in range(r))]
     corr = substitute(divided_difference(prev, r - 2, r - 1), forms, r)
     return mo.component(r) + corr
 
@@ -211,15 +185,14 @@ def senary_rhs(mo, r):
     _check_mould(mo, "senary_rhs")
     _check_r(r, "senary_rhs")
     if r == 1:
-        return substitute(mo.component(1), [(Fraction(-1),)], 1)
-    forms = [tuple(Fraction(-1) for _ in range(r))]
-    forms += [tuple(Fraction(int(k == j)) for k in range(r)) for j in range(r - 1)]
+        return substitute(mo.component(1), [(-1,)], 1)
+    forms = [(-1,) * r] + [tuple(int(k == j) for k in range(r)) for j in range(r - 1)]
     main = substitute(mo.component(r), forms, r)
     prev = embed_vars(mo.component(r - 1), list(range(r - 1)), r)
     # slot 1 -> -(y_2+..+y_r), slot r -> y_1, the others fixed
-    pforms = [tuple(Fraction(int(k == j)) for k in range(r)) for j in range(r)]
-    pforms[0] = tuple(Fraction(-int(k > 0)) for k in range(r))
-    pforms[r - 1] = tuple(Fraction(int(k == 0)) for k in range(r))
+    pforms = [(0,) + (-1,) * (r - 1)]
+    pforms += [tuple(int(k == j) for k in range(r)) for j in range(1, r - 1)]
+    pforms.append(tuple(int(k == 0) for k in range(r)))
     corr = substitute(divided_difference(prev, 0, r - 1), pforms, r)
     return main - corr
 
@@ -250,13 +223,11 @@ def senary_eq41_holds(mo, r):
     _check_r(r, "senary_eq41_holds")
     n = r + 1
     comp = u_component(mo, n)
-    rotated = permute_vars(comp, [(j + 1) % n for j in range(n)])
+    rotated = embed_vars(comp, [(j + 1) % n for j in range(n)], n)
     if r == 1:
         return comp == rotated
-    um = Mould.from_components(n, {r: u_component(mo, r), n: comp})
-    c23 = coll(um, n, 2).component(n)
-    c12 = coll(um, n, 1).component(n)
-    return comp + c23 == rotated + c12
+    um = Mould.from_components(r, {r: u_component(mo, r)})
+    return comp + coll(um, n, 2) == rotated + coll(um, n, 1)
 
 
 # ---------------------------------------------------------------------------

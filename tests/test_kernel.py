@@ -15,7 +15,6 @@ from mouldkit.kernel import (
     embed_vars,
     exact_div,
     nullspace,
-    permute_vars,
     rat,
     substitute,
 )
@@ -214,7 +213,7 @@ def reference_substitute(p, forms, out_nvars):
 def substitutions(draw):
     p = draw(polys(max_deg=3, max_terms=4))
     out_nvars = draw(st.integers(min_value=0, max_value=3))
-    coeff = st.one_of(st.integers(min_value=-2, max_value=2), fractions_st)
+    coeff = st.integers(min_value=-2, max_value=2)
     forms = [
         tuple(draw(st.lists(coeff, min_size=out_nvars, max_size=out_nvars)))
         for _ in range(p.nvars)
@@ -236,18 +235,25 @@ def test_substitute_matches_reference(case):
 def test_substitute_packed_pins():
     # a constant has total degree 0, so it packs in base 1
     assert substitute(MultiPoly.const(2, 7), [(1, 2), (3, 4)], 2) == MultiPoly.const(2, 7)
-    # rational forms: (x1/2 + x2/3)^2 * 6 = 3/2 x1^2 + 2 x1 x2 + 2/3 x2^2
-    q = substitute(P(1, {(2,): 6}), [(Fraction(1, 2), Fraction(1, 3))], 2)
-    assert q == P(2, {(2, 0): Fraction(3, 2), (1, 1): 2, (0, 2): Fraction(2, 3)})
+    # rational coefficients of p go over one common denominator
+    q = substitute(P(1, {(2,): Fraction(1, 6), (1,): Fraction(1, 4)}), [(1, -1)], 2)
+    assert q == P(2, {(2, 0): Fraction(1, 6), (1, 1): Fraction(-1, 3),
+                      (0, 2): Fraction(1, 6), (1, 0): Fraction(1, 4),
+                      (0, 1): Fraction(-1, 4)})
     # the shape of the forms is checked even when p is zero
     with pytest.raises(MalformedSubstitution):
         substitute(MultiPoly.zero(1), [(1,)], 2)
+    # so is every entry: a form takes exact ints only
+    for entry in (Fraction(1, 2), Fraction(1), 0.5, True):
+        for p in (P(1, {(2,): 6}), MultiPoly.zero(1)):
+            with pytest.raises(MalformedSubstitution, match="int"):
+                substitute(p, [(entry, 1)], 2)
 
 
 def test_permute_and_embed():
     x1, x2 = x(2, 0), x(2, 1)
     p = x1 * x1 + 3 * x2
-    assert permute_vars(p, [1, 0]) == x2 * x2 + 3 * x1
+    assert embed_vars(p, [1, 0], 2) == x2 * x2 + 3 * x1
     q = embed_vars(p, [0, 2], 3)
     y1, y3 = x(3, 0), x(3, 2)
     assert q == y1 * y1 + 3 * y3
@@ -437,14 +443,14 @@ def test_term_kernel_module_contract():
 
 # -- index checks survive python -O ------------------------------------------
 
-# A variable index out of range, a repeated embedding position and a
-# non-permutation are ValueErrors that name the function, also under
-# python -O, which strips assert statements.
+# A variable index out of range, and embedding positions that are repeated,
+# out of range or too few, are ValueErrors that name the function, also
+# under python -O, which strips assert statements.
 INDEX_CALLS = {
     "MultiPoly.var": "kernel.MultiPoly.var(2, -1)",
     "embed_vars": "kernel.embed_vars(X1X2SQ, [0, 0], 2)",
     "embed_vars range": "kernel.embed_vars(X1X2SQ, [0, 2], 2)",
-    "permute_vars": "kernel.permute_vars(X1X2SQ, [1, 1])",
+    "embed_vars length": "kernel.embed_vars(X1X2SQ, [1], 2)",
 }
 
 _INDEX_RAISED = """

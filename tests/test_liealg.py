@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mouldkit import liealg
 from mouldkit.bridge import ftilde_to_F
 from mouldkit.kernel import NoSolution, RatMatrix, nullspace
 from mouldkit.liealg import (
+    WEIGHT_BOUND,
     SubspaceBasis,
     WeightBoundError,
     WeightTooSmall,
@@ -255,6 +257,14 @@ def test_kv_input_checks_survive_optimize():
 def test_trace_target_weight2_pin():
     t = trace((X + Y) ** 2 - X ** 2 - Y ** 2)
     assert t.terms == {("x", "y"): Fraction(2)}, t.terms
+
+
+def test_kv2_target_is_nonzero_with_positive_coefficients():
+    # kv2_check divides by a coefficient of the target with no zero check:
+    # the target counts the words with both letters in each cyclic class
+    for w in range(2, WEIGHT_BOUND + 1):
+        t = liealg._kv2_target(w)
+        assert t.terms and all(c > 0 for c in t.terms.values()), w
 
 
 def test_kv2_zero():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mouldkit import bridge, cli, kernel, liealg, mould, ncword, symmetry
 from mouldkit.bridge import ma
 from mouldkit.cli import _check, _verdict, fmt_rat, main, mp_to_json, poly_to_json
-from mouldkit.kernel import MultiPoly, NoSolution, permute_vars
+from mouldkit.kernel import MalformedSubstitution, MultiPoly, NoSolution, embed_vars
 from mouldkit.liealg import (
     dmr_basis,
     dmr_witness,
@@ -207,7 +207,7 @@ def witness_moulds(draw):
             comps[m] = lie.component(m)
         elif kind == "rotation":
             P = draw(polynomials(m))
-            comps[m] = P - permute_vars(P, [(j + 1) % m for j in range(m)])
+            comps[m] = P - embed_vars(P, [(j + 1) % m for j in range(m)], m)
     return Mo(depth, comps)
 
 
@@ -428,6 +428,15 @@ BAD_INPUT = [
     (ValueError, lambda: M2 + M3),
     (ValueError, lambda: M2 - M3),
     (ValueError, lambda: M2 * M3),
+    (MalformedSubstitution, lambda: kernel.substitute(M2, [(Fraction(1, 2),), (1,)], 1)),
+    (MalformedSubstitution, lambda: kernel.substitute(M2, [(0.5,), (1,)], 1)),
+    (MalformedSubstitution, lambda: kernel.substitute(M2, [(True,), (1,)], 1)),
+    (TypeError, lambda: kernel.substitute(P1, [], 0)),
+    (TypeError, lambda: kernel.exact_div(M2, 1)),
+    (ValueError, lambda: kernel.exact_div(MultiPoly.var(2, 0), MultiPoly.var(1, 0))),
+    (TypeError, lambda: poly_to_json(M2)),
+    (TypeError, lambda: mp_to_json(P1)),
+    (TypeError, lambda: cli.mould_to_json(M2)),
 ]
 
 
@@ -440,8 +449,11 @@ def test_bad_input_raises(error, call):
 def test_bad_input_raises_under_optimize():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
+        "from fractions import Fraction\n"
         "from mouldkit.bridge import vimo\n"
-        "from mouldkit.kernel import MultiPoly\n"
+        "from mouldkit.cli import mould_to_json, mp_to_json, poly_to_json\n"
+        "from mouldkit.kernel import (MalformedSubstitution, MultiPoly, exact_div,\n"
+        "                             substitute)\n"
         "from mouldkit.liealg import (dmr_witness, is_krv, krv_basis, krv_witness,\n"
         "                             solve_G)\n"
         "from mouldkit.mould import pus_sum\n"
@@ -474,7 +486,18 @@ def test_bad_input_raises_under_optimize():
         "          (TypeError, lambda: m2 + 1),\n"
         "          (ValueError, lambda: m2 + m3),\n"
         "          (ValueError, lambda: m2 - m3),\n"
-        "          (ValueError, lambda: m2 * m3)]\n"
+        "          (ValueError, lambda: m2 * m3),\n"
+        "          (MalformedSubstitution,\n"
+        "           lambda: substitute(m2, [(Fraction(1, 2),), (1,)], 1)),\n"
+        "          (MalformedSubstitution, lambda: substitute(m2, [(0.5,), (1,)], 1)),\n"
+        "          (MalformedSubstitution, lambda: substitute(m2, [(True,), (1,)], 1)),\n"
+        "          (TypeError, lambda: substitute(xy, [], 0)),\n"
+        "          (TypeError, lambda: exact_div(m2, 1)),\n"
+        "          (ValueError,\n"
+        "           lambda: exact_div(MultiPoly.var(2, 0), MultiPoly.var(1, 0))),\n"
+        "          (TypeError, lambda: poly_to_json(m2)),\n"
+        "          (TypeError, lambda: mp_to_json(xy)),\n"
+        "          (TypeError, lambda: mould_to_json(m2))]\n"
         "for exc, check in checks:\n"
         "    try:\n"
         "        check()\n"
