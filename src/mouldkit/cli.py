@@ -28,7 +28,6 @@ from .liealg import (
     dmr_basis,
     dmr_witness,
     fil2_dimension,
-    is_krv,
     krv_basis,
     krv_witness,
     kv2_check,
@@ -277,8 +276,11 @@ def _senary_items(mo, label, rmax, checks, conjectural):
 
 
 def _check_rmax(rmax):
-    if rmax < 1:
-        raise ParseError("--rmax must be at least 1, got %d" % rmax, "arguments.rmax")
+    # every input has depth at most WEIGHT_BOUND, and every senary instance
+    # at r > depth + 1 vanishes identically
+    if not 1 <= rmax <= WEIGHT_BOUND + 1:
+        raise ParseError("--rmax must be in [1, %d], got %d" % (WEIGHT_BOUND + 1, rmax),
+                         "arguments.rmax")
 
 
 def cmd_verify_senary(args):
@@ -337,6 +339,9 @@ def _property_weight(p, loc):
         raise ParseError("input polynomial must be homogeneous", loc)
     if w is None or w < 2:
         raise ParseError("input polynomial must have weight >= 2", loc)
+    if w > WEIGHT_BOUND:
+        raise ParseError("input polynomial weight above the weight bound %d"
+                         % WEIGHT_BOUND, loc)
     return w
 
 
@@ -601,7 +606,7 @@ def _suite_embedding(checks, wmax, basis_of):
             continue
         for i, f in enumerate(basis_of("dmr", w).elements()):
             # dmr vectors are stated in f-tilde coordinates; map back
-            ok = is_krv(ftilde_to_F(f), w)
+            ok = krv_witness(ftilde_to_F(f), w) is None
             checks.append(
                 _check("embedding dmr->krv [w=%d element %d]" % (w, i), ok, {"w": w})
             )

@@ -30,9 +30,9 @@
 # p of all rows.  No mod-p value is ever returned unchecked.
 #
 # _kernel lifts that null space to Q without any Fraction elimination.
-# The basis mod p is brought to RREF-kernel shape, taking pivots from the
-# rightmost column: each vector has 1 on its own free column, 0 on the other
-# free columns and is supported on columns up to its own.  Every entry is
+# The screen keeps its basis mod p in RREF-kernel shape, in free-column
+# order: each vector has 1 on its own free column, 0 on the other free
+# columns and is supported on columns up to its own.  Every entry is
 # recovered by rational reconstruction (Wang, SYMSAC 1981) with |num|, den
 # < 2^30, the vectors are made primitive, and each is certified to have zero
 # integer dot product with every input row.  A certified basis is exact and
@@ -153,10 +153,6 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -461,12 +457,17 @@ _P = (1 << 61) - 1  # the screening prime, a Mersenne prime
 def _independent_rows(int_rows, cols):
     """The indices of the rows that are independent mod _P of the rows
     picked before them, at most cols of them, in input order; and a basis
-    of the null space mod _P of all rows.
+    of the null space mod _P of all rows, in RREF-kernel shape.
 
     kernel spans the null space mod _P of the rows picked so far, so a row
     lies in their span mod _P iff it is orthogonal to every kernel vector.
-    Picking a row removes one kernel vector and projects the others onto
-    the row's orthogonal complement."""
+    Picking a row removes the first kernel vector v with a nonzero dot
+    product and projects the later ones onto the row's orthogonal
+    complement by subtracting multiples of v.  kernel starts as the unit
+    vectors and keeps their order, so each vector keeps 1 on its own
+    column, 0 on the other columns still free, and support on columns up
+    to its own: v is 0 on every free column but its own, which stops being
+    free, and is supported before every later vector's column."""
     kernel = [[int(i == j) for j in range(cols)] for i in range(cols)]
     picked = []
     for i, row in enumerate(int_rows):
@@ -506,28 +507,12 @@ def _rational(u):
     return Fraction(r1, t1)
 
 
-def _lifted_kernel(vecs, cols):
-    """The primitive rational basis that a null space mod _P proposes, one
-    vector per free column in column order (see the header), or None if an
-    entry does not reconstruct.  The list vecs is reduced in place."""
-    free = []
-    for c in range(cols - 1, -1, -1):
-        r = len(free)
-        if r == len(vecs):
-            break
-        piv = next((i for i in range(r, len(vecs)) if vecs[i][c]), None)
-        if piv is None:
-            continue
-        vecs[r], vecs[piv] = vecs[piv], vecs[r]
-        inv = pow(vecs[r][c], -1, _P)
-        vecs[r] = v_r = [x * inv % _P for x in vecs[r]]
-        for i, v in enumerate(vecs):
-            if i != r and v[c]:
-                f = v[c]
-                vecs[i] = [(a - f * b) % _P for a, b in zip(v, v_r)]
-        free.append(c)
+def _lifted_kernel(vecs):
+    """The primitive rational basis that a null space mod _P in RREF-kernel
+    shape proposes, one vector per free column in column order (see the
+    header), or None if an entry does not reconstruct."""
     basis = []
-    for _, v in sorted(zip(free, vecs)):
+    for v in vecs:
         vec = [_rational(x) for x in v]
         if any(x is None for x in vec):
             return None
@@ -574,7 +559,7 @@ def _kernel(int_rows, cols):
     rows, so if its basis annihilates every row the kernels, hence the row
     spaces and their unique RREFs, are equal."""
     picked, kernel = _independent_rows(int_rows, cols)
-    basis = _lifted_kernel(kernel, cols)
+    basis = _lifted_kernel(kernel)
     if basis is not None and _annihilates(basis, int_rows):
         return basis
     basis = _rref_kernel([int_rows[i] for i in picked], cols)

@@ -193,11 +193,6 @@ def krv_witness(F, w):
     return None
 
 
-def is_krv(F, w):
-    """Lie, KV1 solvable, and KV2 proportional."""
-    return krv_witness(F, w) is None
-
-
 # ---------------------------------------------------------------------------
 # the y-alphabet side
 
@@ -334,11 +329,6 @@ def dmr_witness(f, w):
         return {"stage": "c_xy", "value": c}
     defect = primitivity_defect(star_regularize(scale_letter(f, "y", -1)))
     return {"stage": "primitivity", "defect": defect} if defect else None
-
-
-def is_dmr(f, w):
-    """Lie, c_{xy} = 0, and the flipped star regularization primitive."""
-    return dmr_witness(f, w) is None
 
 
 # ---------------------------------------------------------------------------

@@ -285,8 +285,3 @@ def pusnu_witness(mo):
     _check_mould(mo, "pusnu_witness")
     return next(({"depth": m} for m in range(1, mo.depth + 1)
                  if not pus_sum(mo, m).is_zero()), None)
-
-
-def is_pus_neutral(mo):
-    """pus_sum(M, m) = 0 for 1 <= m <= depth (and beyond, trivially)."""
-    return pusnu_witness(mo) is None

@@ -1,7 +1,6 @@
 # Symmetry predicates on moulds: alternality, alternility up to a constant
-# mould, the senary relation in both of its formulations, pus-neutrality
-# based membership, and the graded (fixed-weight) solution spaces of the
-# combined linear conditions.
+# mould, the senary relation in both of its formulations, and the graded
+# (fixed-weight) solution spaces of the combined linear conditions.
 #
 # Everything here is linear algebra over Q in disguise: each predicate is
 # "a finite family of polynomials vanishes", and each polynomial depends
@@ -26,7 +25,6 @@ from .mould import (
     Mould,
     _check_mould,
     coll,
-    is_pus_neutral,
     pus_sum,
     swap,
     u_component,
@@ -99,11 +97,6 @@ def alternal_witness(mo):
             if not defect.is_zero():
                 return {"p": p, "q": m - p, "defect": defect}
     return None
-
-
-def is_alternal(mo):
-    """M^0 = 0 and every (p,q) shuffle sum vanishes, p+q <= declared depth."""
-    return alternal_witness(mo) is None
 
 
 def alternility_defect(mo, p, q):
@@ -228,31 +221,6 @@ def senary_eq41_holds(mo, r):
         return comp == rotated
     um = Mould.from_components(r, {r: u_component(mo, r)})
     return comp + coll(um, n, 2) == rotated + coll(um, n, 1)
-
-
-# ---------------------------------------------------------------------------
-# membership predicates
-
-def in_ari_sena_pusnu(mo):
-    """Senary for all r (truncated at depth D + 1: the depth-(D+1) instance
-    still has content through the divided differences of M^D, every higher
-    one vanishes identically) plus pus-neutrality of swap(M)."""
-    _check_mould(mo, "in_ari_sena_pusnu")
-    if mo.components[0] != 0:
-        return False
-    for r in range(1, mo.depth + 2):
-        if not senary_holds(mo, r):
-            return False
-    return is_pus_neutral(swap(mo))
-
-
-def in_ari_al_star_il(mo):
-    """Alternal, and swap(M) alternil up to a constant-valued mould."""
-    _check_mould(mo, "in_ari_al_star_il")
-    if not is_alternal(mo):
-        return False
-    cert = alternil_up_to_constant(swap(mo))
-    return isinstance(cert, AlternilityCertificate)
 
 
 # ---------------------------------------------------------------------------

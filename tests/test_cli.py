@@ -148,6 +148,19 @@ def test_mould_depth_key_above_weight_bound_is_rejected(tmp_path, capsys, key):
     assert mould_from_json({"12": []}).depth == 12
 
 
+@pytest.mark.parametrize("prop", ["kv1", "kv2", "krv", "dmr"])
+def test_polynomial_weight_above_weight_bound_is_rejected(tmp_path, capsys, prop):
+    # ad_x^12(y) has weight 13; each weight step used to cost about 4x more
+    p = Y
+    for _ in range(12):
+        p = lie_bracket(X, p)
+    path = write(tmp_path, "w13.json", poly_to_json(p))
+    assert main(["check", prop, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert "weight bound 12 (at input)" in captured.err
+    assert captured.out == ""
+
+
 def test_mould_rejects_boolean_exponents(tmp_path, capsys):
     # bool is an int subclass; a JSON true must not pass for the exponent 1
     with pytest.raises(ParseError) as e:
@@ -222,8 +235,9 @@ def test_verify_senary_empty_input_is_parse_error(tmp_path, capsys):
     assert "status: pass" not in captured.out
 
 
-@pytest.mark.parametrize("rmax", ["0", "-2"])
-def test_verify_senary_rmax_below_one_is_parse_error(tmp_path, capsys, rmax):
+@pytest.mark.parametrize("rmax", ["0", "-2", "14"])
+def test_verify_senary_rmax_out_of_range_is_parse_error(tmp_path, capsys, rmax):
+    # 14 > WEIGHT_BOUND + 1: past depth + 1 every senary instance vanishes
     path = write(tmp_path, "dmr3.json", [DMR3_MOULD])
     assert main(["verify-senary", "--input", path, "--rmax", rmax]) == 2
     captured = capsys.readouterr()

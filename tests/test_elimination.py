@@ -199,6 +199,25 @@ def test_nullspace_matches_full_rref(seed):
 
 
 @pytest.mark.parametrize("seed", range(40))
+def test_screen_null_space_is_in_rref_kernel_shape(seed):
+    # what lets _kernel reconstruct the screen's vectors with no elimination:
+    # each vector has 1 on its own free column, 0 on the other free columns
+    # and support up to its own column, in free-column order
+    rng = random.Random(seed)
+    for _ in range(15):
+        rows, cols = random_matrix(rng)
+        int_rows = dense(rows, cols).int_rows
+        picked, vecs = kernel._independent_rows(int_rows, cols)
+        assert len(picked) + len(vecs) == cols
+        free = [max(j for j, x in enumerate(v) if x) for v in vecs]
+        assert free == sorted(set(free))
+        for v, c in zip(vecs, free):
+            assert [v[f] for f in free] == [int(f == c) for f in free]
+        for row in int_rows:
+            assert all(sum(x * v[j] for j, x in row.items()) % P == 0 for v in vecs)
+
+
+@pytest.mark.parametrize("seed", range(40))
 def test_solve_linear_matches_full_rref(seed):
     rng = random.Random(1000 + seed)
     for _ in range(15):

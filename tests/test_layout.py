@@ -4,31 +4,28 @@
 # uses it as a reference.
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # Public on purpose although nothing in src/ or perfbench/ calls them.
 UNREACHED = {
-    "liealg.is_dmr": "the public pair of is_krv",
     "cli.mould_to_json": "the public pair of mould_from_json",
+    "kernel.exact_div": "the acceptance gate's long-division reference",
+    "kernel.NotDivisible": "the acceptance gate's long-division reference",
 }
 
 
 def _names(node):
-    """The identifiers node names: variables, attributes, and strings that
-    spell a dotted identifier, as the tracer's span names do.  Import
-    statements name nothing by themselves."""
+    """The identifiers node names: variables and attributes.  A string
+    names nothing, not even one that spells an identifier, and neither do
+    import statements by themselves."""
     out = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
             out.add(n.attr)
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            if re.fullmatch(r"[\w.]+", n.value):
-                out.update(n.value.split("."))
     return out
 
 

@@ -23,11 +23,11 @@ from mouldkit.liealg import (
     WeightTooSmall,
     delta_star,
     dmr_basis,
+    dmr_witness,
     fil2_dimension,
-    is_dmr,
-    is_krv,
     kv2_check,
     krv_basis,
+    krv_witness,
     pi_Y,
     primitivity_defect,
     solve_G,
@@ -318,16 +318,16 @@ def test_kv2_check_matches_the_decomposition_form_on_krv(w):
         assert not isinstance(alpha, NoSolution) and alpha == _kv2_reference(F, G, w)
 
 
-# --- is_krv --------------------------------------------------------------
+# --- krv membership ------------------------------------------------------
 
 def test_is_krv_pins():
-    assert is_krv(NCPoly.zero(XY), 2)
-    assert not is_krv(lie_bracket(X, Y), 2)
-    assert is_krv(P1, 3)
-    assert not is_krv(P2, 3)
-    assert not is_krv(P1 + P2, 3)
-    assert not is_krv(word("x", "y"), 2)          # not Lie
-    assert not is_krv(P1 + lie_bracket(X, Y), 3)  # not homogeneous
+    assert krv_witness(NCPoly.zero(XY), 2) is None
+    assert krv_witness(lie_bracket(X, Y), 2) is not None
+    assert krv_witness(P1, 3) is None
+    assert krv_witness(P2, 3) is not None
+    assert krv_witness(P1 + P2, 3) is not None
+    assert krv_witness(word("x", "y"), 2) is not None           # not Lie
+    assert krv_witness(P1 + lie_bracket(X, Y), 3) is not None   # not homogeneous
 
 
 def test_krv_basis_weight2_empty():
@@ -356,11 +356,11 @@ def test_krv_members_and_complement():
         b = krv_basis(w)
         assert b.dimension == 1
         (e,) = b.elements()
-        assert is_krv(e, w)
+        assert krv_witness(e, w) is None
         # perturbing by a Lyndon bracket outside the span must fail
         for extra in lyndon_basis(w, XY):
             cand = e + extra
-            if not is_krv(cand, w):
+            if krv_witness(cand, w) is not None:
                 break
         else:
             raise AssertionError("no complement witness at w=%d" % w)
@@ -441,17 +441,17 @@ def test_dmr3_certificate_defects():
     assert primitivity_defect(bad) != {}
 
 
-# --- is_dmr and dmr_basis -------------------------------------------------
+# --- dmr membership and dmr_basis -----------------------------------------
 
 def test_is_dmr_pins():
-    assert is_dmr(NCPoly.zero(XY), 3)
-    assert not is_dmr(lie_bracket(X, Y), 2)   # c_xy = 1
-    assert is_dmr(P1 - P2, 3)
-    assert is_dmr(Fraction(5, 3) * (P1 - P2), 3)
-    assert not is_dmr(P1 + P2, 3)
-    assert not is_dmr(P1, 3)                  # c_xy(P1) = 1
-    assert not is_dmr(word("y", "y"), 2)      # not Lie
-    assert not is_dmr(P1 - P2 + lie_bracket(X, Y), 3)
+    assert dmr_witness(NCPoly.zero(XY), 3) is None
+    assert dmr_witness(lie_bracket(X, Y), 2) is not None    # c_xy = 1
+    assert dmr_witness(P1 - P2, 3) is None
+    assert dmr_witness(Fraction(5, 3) * (P1 - P2), 3) is None
+    assert dmr_witness(P1 + P2, 3) is not None
+    assert dmr_witness(P1, 3) is not None                   # c_xy(P1) = 1
+    assert dmr_witness(word("y", "y"), 2) is not None       # not Lie
+    assert dmr_witness(P1 - P2 + lie_bracket(X, Y), 3) is not None
 
 
 def test_dmr_basis_weight3():
@@ -476,9 +476,9 @@ def test_dmr_members_and_complement():
         b = dmr_basis(w)
         assert b.dimension == 1
         (e,) = b.elements()
-        assert is_dmr(e, w)
+        assert dmr_witness(e, w) is None
         for extra in lyndon_basis(w, XY):
-            if not is_dmr(e + extra, w):
+            if dmr_witness(e + extra, w) is not None:
                 break
         else:
             raise AssertionError("no complement witness at w=%d" % w)

@@ -17,11 +17,11 @@ from mouldkit.mould import (
     Mould,
     SlotError,
     coll,
-    is_pus_neutral,
     mantar,
     mould_mul,
     pus_sum,
     push,
+    pusnu_witness,
     swap,
     teru,
     u_component,
@@ -472,10 +472,10 @@ def coll_expansion(m, depth, i):
 
 def test_pus_neutral_pins():
     good = Mo(2, {2: {(1, 0): 1, (0, 1): -1}})
-    assert is_pus_neutral(good)
-    assert not is_pus_neutral(Mo(1, {1: {(1,): 1}}))
-    assert not is_pus_neutral(Mo(2, {2: {(1, 0): 1}}))
-    assert is_pus_neutral(Mould.zero(3))
+    assert pusnu_witness(good) is None
+    assert pusnu_witness(Mo(1, {1: {(1,): 1}})) is not None
+    assert pusnu_witness(Mo(2, {2: {(1, 0): 1}})) is not None
+    assert pusnu_witness(Mould.zero(3)) is None
 
 
 def test_pus_sum_pins():

@@ -21,8 +21,6 @@ from mouldkit.kernel import MalformedSubstitution, MultiPoly, NoSolution, embed_
 from mouldkit.liealg import (
     dmr_basis,
     dmr_witness,
-    is_dmr,
-    is_krv,
     krv_basis,
     krv_witness,
     kv2_check,
@@ -30,7 +28,7 @@ from mouldkit.liealg import (
     solve_G,
     star_regularize,
 )
-from mouldkit.mould import Mould, is_pus_neutral, pus_sum, pusnu_witness
+from mouldkit.mould import Mould, pus_sum, pusnu_witness
 from mouldkit.ncword import (
     AlphabetError,
     NCPoly,
@@ -48,7 +46,6 @@ from mouldkit.symmetry import (
     alternality_defect,
     ari_alil_space,
     ari_sena_pusnu_space,
-    is_alternal,
 )
 
 XY = ("x", "y")
@@ -286,14 +283,12 @@ def test_alternal_witness_pins():
     assert got == {"p": 1, "q": 1, "defect": MultiPoly(2, {(1, 1): 2})}
     got = alternal_witness(Mo(4, {4: {(1, 0, 0, 0): 1}}))
     assert (got["p"], got["q"]) == (1, 3)
-    assert is_alternal(Mould.zero(3)) and not is_alternal(Mould.from_components(1, {0: 1}))
 
 
 def test_pusnu_witness_pins():
     assert pusnu_witness(Mo(2, {2: {(1, 0): 1, (0, 1): -1}})) is None
     assert pusnu_witness(Mo(2, {1: {(1,): 1}})) == {"depth": 1}
     assert pusnu_witness(Mo(3, {3: {(2, 0, 0): 1}})) == {"depth": 3}
-    assert is_pus_neutral(Mould.zero(2))
 
 
 def test_krv_witness_pins():
@@ -304,7 +299,6 @@ def test_krv_witness_pins():
     assert krv_witness(NCPoly.from_word(XY, ("x", "y")), 2) == {"stage": "lie"}
     assert krv_witness(lie_bracket(X, Y), 2) == {"stage": "kv1"}
     assert krv_witness(KV2_FAIL, 5) == {"stage": "kv2"}
-    assert is_krv(P1, 3) and not is_krv(KV2_FAIL, 5)
 
 
 def test_dmr_witness_pins():
@@ -318,7 +312,6 @@ def test_dmr_witness_pins():
     assert got["stage"] == "primitivity"
     xi = star_regularize(scale_letter(lyn5, "y", -1))
     assert got["defect"] == primitivity_defect(xi) != {}
-    assert is_dmr(member, 3) and not is_dmr(lyn5, 5)
 
 
 # --- one computation per check -------------------------------------------------
@@ -382,10 +375,10 @@ def test_check_alternal_runs_each_split_once(tmp_path, monkeypatch, capsys):
 
 
 def test_paper_suite_embedding_uses_is_krv(monkeypatch, capsys):
-    calls = count_calls(monkeypatch, liealg.is_krv)
+    calls = count_calls(monkeypatch, liealg.krv_witness)
     assert main(["paper-suite", "--max-weight", "5"]) == 0
     capsys.readouterr()
-    assert [args[1] for args in calls["is_krv"]] == [3, 5]
+    assert [args[1] for args in calls["krv_witness"]] == [3, 5]
 
 
 # --- input checks that python -O keeps -----------------------------------------
@@ -400,15 +393,15 @@ M2 = MultiPoly(2, {(1, 0): 1})
 M3 = MultiPoly(3, {(0, 0, 1): 1})
 
 BAD_INPUT = [
-    (TypeError, lambda: is_krv(P1.terms, 3)),
-    (ValueError, lambda: is_krv(P1, 1)),
+    (TypeError, lambda: krv_witness(P1.terms, 3)),
+    (ValueError, lambda: krv_witness(P1, 1)),
     (ValueError, lambda: krv_witness(NCPoly.zero(XY), 0)),
-    (TypeError, lambda: is_dmr("xy", 2)),
+    (TypeError, lambda: dmr_witness("xy", 2)),
     (ValueError, lambda: dmr_witness(P1, 1)),
-    (TypeError, lambda: is_alternal({2: {(1, 1): 1}})),
+    (TypeError, lambda: alternal_witness({2: {(1, 1): 1}})),
     (TypeError, lambda: alternality_defect(None, 1, 1)),
     (TypeError, lambda: pus_sum([0], 1)),
-    (TypeError, lambda: is_pus_neutral(None)),
+    (TypeError, lambda: pusnu_witness(None)),
     (ValueError, lambda: bridge.vimo(NCPoly.from_word(XY, ("x", "y")), 3)),
     (AlphabetError, lambda: NCPoly(("x", "x"), {("x",): 1})),
     (ValueError, lambda: lyndon_bracketing(("y", "x"), XY)),
@@ -422,7 +415,7 @@ BAD_INPUT = [
     (AlphabetError, lambda: solve_G(K3_YX, 3)),
     (AlphabetError, lambda: kv2_check(K3_AB, K3_AB, 3)),
     (AlphabetError, lambda: dmr_witness(K3_AB, 3)),
-    (AlphabetError, lambda: is_dmr(K3_YX, 3)),
+    (AlphabetError, lambda: dmr_witness(K3_YX, 3)),
     (TypeError, lambda: M2 + 1),
     (TypeError, lambda: M2 - P1),
     (ValueError, lambda: M2 + M3),
@@ -454,13 +447,12 @@ def test_bad_input_raises_under_optimize():
         "from mouldkit.cli import mould_to_json, mp_to_json, poly_to_json\n"
         "from mouldkit.kernel import (MalformedSubstitution, MultiPoly, exact_div,\n"
         "                             substitute)\n"
-        "from mouldkit.liealg import (dmr_witness, is_krv, krv_basis, krv_witness,\n"
-        "                             solve_G)\n"
+        "from mouldkit.liealg import dmr_witness, krv_basis, krv_witness, solve_G\n"
         "from mouldkit.mould import pus_sum\n"
         "from mouldkit.ncword import (AlphabetError, NCPoly, lyndon_bracketing,\n"
         "                             scale_letter)\n"
-        "from mouldkit.symmetry import (ari_alil_space, ari_sena_pusnu_space,\n"
-        "                               is_alternal)\n"
+        "from mouldkit.symmetry import (alternal_witness, ari_alil_space,\n"
+        "                               ari_sena_pusnu_space)\n"
         "xy = NCPoly.from_word(('x', 'y'), ('x', 'y'))\n"
         "k3 = krv_basis(3).elements()[0]\n"
         "ab = NCPoly(('a', 'b'), {tuple('ab'['xy'.index(s)] for s in wd): c\n"
@@ -475,9 +467,9 @@ def test_bad_input_raises_under_optimize():
         "          (ValueError, lambda: xy ** -2),\n"
         "          (ValueError, lambda: ari_alil_space(1)),\n"
         "          (ValueError, lambda: ari_sena_pusnu_space(1)),\n"
-        "          (ValueError, lambda: is_krv(xy, 1)),\n"
+        "          (ValueError, lambda: krv_witness(xy, 1)),\n"
         "          (TypeError, lambda: dmr_witness('xy', 2)),\n"
-        "          (TypeError, lambda: is_alternal(None)),\n"
+        "          (TypeError, lambda: alternal_witness(None)),\n"
         "          (TypeError, lambda: pus_sum(None, 1)),\n"
         "          (AlphabetError, lambda: krv_witness(ab, 3)),\n"
         "          (AlphabetError, lambda: krv_witness(yx, 3)),\n"
