@@ -41,6 +41,7 @@ from .ncword import (
     homogeneous_weight,
     is_anti_palindromic,
     lyndon_basis,
+    lyndon_combination,
 )
 from .symmetry import (
     alternal_witness,
@@ -438,12 +439,9 @@ def cmd_check(args):
 # the consolidated verification campaign
 
 def _random_lie(rng, w):
-    terms = {}
-    for b in lyndon_basis(w, XY):
-        c = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-        for wd, e in b.terms.items():
-            terms[wd] = terms.get(wd, 0) + c * e
-    return NCPoly._raw(XY, {wd: v for wd, v in terms.items() if v})
+    n = len(lyndon_basis(w, XY))
+    coords = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+    return lyndon_combination(coords, w, XY)
 
 
 def _random_mould(rng, depth, deg):

@@ -16,8 +16,9 @@ from .ncword import (
     _check_xy,
     coefficient,
     homogeneous_weight,
-    is_lie,
+    lie_witness,
     lyndon_basis,
+    lyndon_combination,
     lyndon_words,
     scale_letter,
     trace,
@@ -56,15 +57,7 @@ class SubspaceBasis:
 
     def elements(self):
         """Materialize the basis vectors as Lie polynomials."""
-        brackets = lyndon_basis(self.weight, XY)
-        out = []
-        for v in self.vectors:
-            p = NCPoly.zero(XY)
-            for c, b in zip(v, brackets):
-                if c:
-                    p = p + c * b
-            out.append(p)
-        return out
+        return [lyndon_combination(v, self.weight, XY) for v in self.vectors]
 
     def __eq__(self, other):
         if not isinstance(other, SubspaceBasis):
@@ -111,10 +104,9 @@ def solve_G(F, w):
     G_u = H_{xu} + [u ends in x] G_{x u[:-1]}, read off H in one pass.
     Every word of H has a y, so x^w, the one word the equation leaves free,
     stays 0, as in every Lie element of weight w >= 2.  Two exact checks
-    decide the answer: [x, G] = H, and G reduces to 0 against the standard
-    Lyndon brackets, each of which is its Lyndon word plus greater words.
-    ad(x) is injective on L_w for w > 1, so G is canonical; for w <= 1
-    uniqueness genuinely fails and the call is refused."""
+    decide the answer: [x, G] = H, and G is Lie (lie_witness).  ad(x) is
+    injective on L_w for w > 1, so G is canonical; for w <= 1 uniqueness
+    genuinely fails and the call is refused."""
     _check_kv_input("solve_G", w, F)
     H = {k: -c for k, c in _ad_letter("y", F.terms).items()}
     G = {}
@@ -124,18 +116,10 @@ def solve_G(F, w):
             for j in range(u.index("y") + 1):
                 k = u[j:] + ("x",) * j
                 G[k] = G.get(k, 0) + c
-    G = {k: c for k, c in G.items() if c}
-    if _ad_letter("x", G) != H:
+    G = NCPoly._raw(XY, {k: c for k, c in G.items() if c})
+    if _ad_letter("x", G.terms) != H or lie_witness(G) is not None:
         return NoSolution("inconsistent linear system")
-    rest = dict(G)
-    for word, b in zip(lyndon_words(w, XY), lyndon_basis(w, XY)):
-        c = rest.get(word)
-        if c:
-            for k, e in b.terms.items():
-                rest[k] = rest.get(k, 0) - c * e
-    if any(rest.values()):
-        return NoSolution("inconsistent linear system")
-    return NCPoly._raw(XY, G)
+    return G
 
 
 def _ending(p, a):
@@ -166,14 +150,14 @@ def kv2_check(F, G, w):
     return NoSolution("traces are not proportional")
 
 
-def _lie_witness(p, w):
+def _weight_lie_witness(p, w):
     """The stages krv and dmr membership share: weight w, then Lie."""
     try:
         if homogeneous_weight(p) != w:
             return {"stage": "weight"}
     except NotHomogeneous:
         return {"stage": "weight"}
-    return None if is_lie(p) else {"stage": "lie"}
+    return None if lie_witness(p) is None else {"stage": "lie"}
 
 
 def krv_witness(F, w):
@@ -183,7 +167,7 @@ def krv_witness(F, w):
     _check_kv_input("krv_witness", w)
     if F.is_zero():
         return None
-    if bad := _lie_witness(F, w):
+    if bad := _weight_lie_witness(F, w):
         return bad
     G = solve_G(F, w)
     if isinstance(G, NoSolution):
@@ -323,7 +307,7 @@ def dmr_witness(f, w):
     _check_kv_input("dmr_witness", w)
     if f.is_zero():
         return None
-    if bad := _lie_witness(f, w):
+    if bad := _weight_lie_witness(f, w):
         return bad
     if c := coefficient(f, ("x", "y")):
         return {"stage": "c_xy", "value": c}

@@ -1,6 +1,7 @@
 # Noncommutative words and polynomials over a declared alphabet, free Lie
-# machinery (Dynkin-Specht-Wever test, Lyndon bases), the backwards-writing
-# operator, the last-letter decomposition, and traces as least rotations.
+# machinery (Lyndon bases, the Lie test by reduction against them, Lie
+# polynomials from Lyndon coordinates), the backwards-writing operator, the
+# last-letter decomposition, and traces as least rotations.
 #
 # Words are plain tuples of alphabet symbols, and a word weighs its length.
 # An NCPoly is a dict from word to nonzero Fraction plus the alphabet it lives
@@ -176,33 +177,6 @@ def lie_bracket(a, b):
     return a * b - b * a
 
 
-def _left_bracketing(alphabet, word):
-    # word a1..an -> [[...[a1,a2],...],an]
-    q = NCPoly.letter(alphabet, word[0])
-    for a in word[1:]:
-        la = NCPoly.letter(alphabet, a)
-        q = q * la - la * q
-    return q
-
-
-def is_lie(p):
-    """Dynkin-Specht-Wever: for p homogeneous of word length n >= 1,
-    p is a Lie element iff sum_W c_W [[..[a1,a2]..],an] equals n*p."""
-    _check_ncpoly(p, "is_lie")
-    if p.is_zero():
-        return True
-    lengths = {len(w) for w in p.terms}
-    if len(lengths) > 1:
-        raise NotHomogeneous("mixed word lengths %s" % sorted(lengths))
-    n = lengths.pop()
-    if n == 0:
-        raise NotHomogeneous("constant polynomial has weight 0")
-    d = NCPoly.zero(p.alphabet)
-    for w, c in p.terms.items():
-        d = d + c * _left_bracketing(p.alphabet, w)
-    return d == n * p
-
-
 # ---------------------------------------------------------------------------
 # Lyndon words and the standard bracketing basis of the free Lie algebra.
 
@@ -276,6 +250,45 @@ def lyndon_basis(w, alphabet):
     alphabet = tuple(alphabet)
     _check_lyndon_args("lyndon_basis", w, alphabet)
     return list(_lyndon_brackets(w, alphabet))
+
+
+def lyndon_combination(coords, w, alphabet):
+    """The Lie polynomial sum_i coords[i] * lyndon_basis(w, alphabet)[i],
+    summed into one term dict."""
+    brackets = lyndon_basis(w, alphabet)
+    if len(coords) != len(brackets):
+        raise ValueError("lyndon_combination needs %d coordinates at weight %d, got %d"
+                         % (len(brackets), w, len(coords)))
+    terms = {}
+    for c, b in zip(coords, brackets):
+        if c:
+            for wd, e in b.terms.items():
+                terms[wd] = terms.get(wd, 0) + c * e
+    return NCPoly._raw(tuple(alphabet), {wd: v for wd, v in terms.items() if v})
+
+
+def lie_witness(p):
+    """None when p is a Lie element (zero included), else the nonzero
+    remainder of p reduced against lyndon_basis(w, p.alphabet), walking the
+    Lyndon words in increasing order.  Each standard bracket is its Lyndon
+    word plus greater words (Reutenauer, Free Lie Algebras, Thm 5.1), so a
+    step clears its Lyndon word for good: the remainder has no Lyndon word
+    in its support, p minus it is Lie, and it is zero exactly when p is Lie.
+    Mixed word lengths and a nonzero constant raise NotHomogeneous."""
+    _check_ncpoly(p, "lie_witness")
+    w = homogeneous_weight(p)
+    if w is None:
+        return None
+    if w == 0:
+        raise NotHomogeneous("constant polynomial has weight 0")
+    rest = dict(p.terms)
+    for word, b in zip(lyndon_words(w, p.alphabet), lyndon_basis(w, p.alphabet)):
+        c = rest.get(word)
+        if c:
+            for k, e in b.terms.items():
+                rest[k] = rest.get(k, 0) - c * e
+    rest = {k: c for k, c in rest.items() if c}
+    return NCPoly._raw(p.alphabet, rest) if rest else None
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from mouldkit.kernel import MultiPoly, RatMatrix, nullspace, substitute
 from mouldkit import ncword
+from mouldkit.liealg import dmr_basis, krv_basis
 from mouldkit.mould import Mould
 from mouldkit.ncword import (
     AlphabetError,
@@ -25,10 +26,11 @@ from mouldkit.ncword import (
     decompose_right,
     homogeneous_weight,
     is_anti_palindromic,
-    is_lie,
     lie_bracket,
+    lie_witness,
     lyndon_basis,
     lyndon_bracketing,
+    lyndon_combination,
     lyndon_words,
     scale_letter,
     trace,
@@ -60,7 +62,7 @@ def test_homogeneous_weight():
 
 
 # --------------------------------------------------------------------------
-# lie_bracket / is_lie
+# lie_bracket, and the Dynkin-Specht-Wever reference for lie_witness
 
 def test_lie_bracket_pins():
     assert lie_bracket(X, Y) == P({"xy": 1, "yx": -1})
@@ -75,15 +77,57 @@ def test_lie_bracket_alphabet_mismatch():
         lie_bracket(a, X)
 
 
+def _left_bracketing(alphabet, word):
+    # word a1..an -> [[...[a1,a2],...],an]
+    q = NCPoly.letter(alphabet, word[0])
+    for a in word[1:]:
+        la = NCPoly.letter(alphabet, a)
+        q = q * la - la * q
+    return q
+
+
+def dsw_is_lie(p):
+    """Dynkin-Specht-Wever: for p homogeneous of word length n >= 1,
+    p is a Lie element iff sum_W c_W [[..[a1,a2]..],an] equals n*p.
+
+    The reference for lie_witness, and the Lie test of every check on the
+    Lyndon basis itself, which lie_witness is built from."""
+    if p.is_zero():
+        return True
+    lengths = {len(w) for w in p.terms}
+    if len(lengths) > 1:
+        raise NotHomogeneous("mixed word lengths %s" % sorted(lengths))
+    n = lengths.pop()
+    if n == 0:
+        raise NotHomogeneous("constant polynomial has weight 0")
+    d = NCPoly.zero(p.alphabet)
+    for w, c in p.terms.items():
+        d = d + c * _left_bracketing(p.alphabet, w)
+    return d == n * p
+
+
 def test_is_lie_pins():
-    assert is_lie(P({"xy": 1, "yx": -1}))
-    assert not is_lie(P({"xy": 1}))
-    assert is_lie(P({"xxy": 1, "xyx": -2, "yxx": 1}))
-    assert is_lie(NCPoly.zero(XY))
+    assert dsw_is_lie(P({"xy": 1, "yx": -1}))
+    assert not dsw_is_lie(P({"xy": 1}))
+    assert dsw_is_lie(P({"xxy": 1, "xyx": -2, "yxx": 1}))
+    assert dsw_is_lie(NCPoly.zero(XY))
     with pytest.raises(NotHomogeneous):
-        is_lie(P({"x": 1, "xy": 1}))
+        dsw_is_lie(P({"x": 1, "xy": 1}))
     with pytest.raises(NotHomogeneous):
-        is_lie(NCPoly.one(XY))
+        dsw_is_lie(NCPoly.one(XY))
+
+
+def test_lie_witness_pins():
+    assert lie_witness(P({"xy": 1, "yx": -1})) is None
+    assert lie_witness(P({"xy": 1})) == P({"yx": 1})
+    assert lie_witness(P({"xxy": 1, "xyx": -2, "yxx": 1})) is None
+    assert lie_witness(P({"x": 3, "y": -1})) is None
+    assert lie_witness(P({"xx": 1})) == P({"xx": 1})
+    assert lie_witness(NCPoly.zero(XY)) is None
+    with pytest.raises(NotHomogeneous):
+        lie_witness(P({"x": 1, "xy": 1}))
+    with pytest.raises(NotHomogeneous):
+        lie_witness(NCPoly.one(XY))
 
 
 # --------------------------------------------------------------------------
@@ -126,7 +170,7 @@ def test_lyndon_basis_counts_and_lieness():
         basis = lyndon_basis(w, XY)
         assert len(basis) == witt_dimension(w, 2), w
         for p in basis:
-            assert is_lie(p), p
+            assert dsw_is_lie(p), p
 
 
 def test_lyndon_bracketing_pins():
@@ -217,7 +261,7 @@ NCPOLY_CALLS = {
     "coefficient": "ncword.coefficient(3, ('x',))",
     "homogeneous_weight": "ncword.homogeneous_weight(3)",
     "lie_bracket": "ncword.lie_bracket(X, 3)",
-    "is_lie": "ncword.is_lie(3)",
+    "lie_witness": "ncword.lie_witness(3)",
     "anti": "ncword.anti(3)",
     "scale_letter": "ncword.scale_letter(3, 'y', -1)",
     "is_anti_palindromic": "ncword.is_anti_palindromic(3, 2)",
@@ -369,7 +413,8 @@ def test_lie_bracket_jacobi(a, b, c):
 
 
 # --------------------------------------------------------------------------
-# is_lie vs shuffle-coproduct primitivity (cross-check, weights <= 5)
+# lie_witness against the Dynkin-Specht-Wever reference and against
+# shuffle-coproduct primitivity (Friedrichs' criterion)
 
 def _unshuffle_defect(p):
     """Nonstrict part of the coproduct that makes letters primitive:
@@ -398,12 +443,75 @@ def test_lie_implies_primitive(combo, w):
     p = NCPoly.zero(XY)
     for c, i in combo:
         p = p + Fraction(c) * basis[i % len(basis)]
-    assert is_lie(p)
+    assert dsw_is_lie(p)
     assert _unshuffle_defect(p) == {}, p
 
 
-def test_non_lie_is_not_primitive():
-    assert _unshuffle_defect(P({"xy": 1})) != {}
+@st.composite
+def lie_plus_word(draw, alphabet=XY, max_w=5):
+    """(p, word): a Lie combination of lyndon_basis(w, alphabet), w <= max_w,
+    plus the word when it is not None."""
+    w = draw(st.integers(min_value=1, max_value=max_w))
+    basis = lyndon_basis(w, alphabet)
+    cs = draw(st.lists(coeffs, min_size=len(basis), max_size=len(basis)))
+    p = sum((c * b for c, b in zip(cs, basis)), NCPoly.zero(alphabet))
+    word = draw(st.none() | st.lists(st.sampled_from(alphabet), min_size=w, max_size=w))
+    if word is not None:
+        word = tuple(word)
+        p = p + NCPoly.from_word(alphabet, word)
+    return p, word
+
+
+def _assert_witness_is_the_remainder(p, got):
+    # p minus the witness is Lie, and the reduction left no Lyndon word
+    assert dsw_is_lie(p - got), (p, got)
+    w = homogeneous_weight(got)
+    assert not set(got.terms) & set(lyndon_words(w, p.alphabet)), got
+
+
+@given(lie_plus_word())
+@settings(deadline=None)
+def test_non_lie_is_not_primitive(case):
+    p, word = case
+    lie = word is None or len(word) == 1
+    assert (lie_witness(p) is None) == dsw_is_lie(p) == (_unshuffle_defect(p) == {}) == lie, p
+
+
+@given(lie_plus_word(alphabet=("a", "b", "c"), max_w=4))
+@settings(deadline=None, max_examples=60)
+def test_lie_witness_matches_dsw_over_three_letters(case):
+    p, word = case
+    got = lie_witness(p)
+    assert (got is None) == dsw_is_lie(p) == (word is None or len(word) == 1), p
+    if got is not None:
+        _assert_witness_is_the_remainder(p, got)
+
+
+def test_lie_witness_matches_dsw_on_the_bases():
+    for w in range(2, 9):
+        elements = dmr_basis(w).elements() + krv_basis(w).elements()
+        words = lyndon_words(w, XY)[0], ("y",) + ("x",) * (w - 1)
+        for e in elements:
+            assert lie_witness(e) is None and dsw_is_lie(e), (w, e)
+            for wd in words:
+                p = e + NCPoly.from_word(XY, wd)
+                got = lie_witness(p)
+                assert got is not None and not dsw_is_lie(p), (w, p)
+                _assert_witness_is_the_remainder(p, got)
+
+
+@given(st.integers(min_value=1, max_value=6), st.data())
+def test_lyndon_combination_is_the_bracket_sum(w, data):
+    basis = lyndon_basis(w, XY)
+    cs = data.draw(st.lists(coeffs, min_size=len(basis), max_size=len(basis)))
+    want = sum((c * b for c, b in zip(cs, basis)), NCPoly.zero(XY))
+    assert lyndon_combination(cs, w, XY) == want
+
+
+def test_lyndon_combination_needs_one_coordinate_per_bracket():
+    assert lyndon_combination([2, 0], 3, XY) == 2 * lyndon_bracketing("xxy", XY)
+    with pytest.raises(ValueError, match="lyndon_combination"):
+        lyndon_combination([1], 3, XY)
 
 
 # --------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from mouldkit.ncword import (
     NotHomogeneous,
     coefficient,
     homogeneous_weight,
-    is_lie,
     lie_bracket,
     lyndon_basis,
     lyndon_bracketing,
@@ -47,6 +46,7 @@ from mouldkit.symmetry import (
     ari_alil_space,
     ari_sena_pusnu_space,
 )
+from test_ncword import dsw_is_lie
 
 XY = ("x", "y")
 X = NCPoly.letter(XY, "x")
@@ -90,7 +90,7 @@ def ref_is_krv(F, w):
             return False
     except NotHomogeneous:
         return False
-    if not is_lie(F):
+    if not dsw_is_lie(F):
         return False
     G = solve_G(F, w)
     if isinstance(G, NoSolution):
@@ -108,7 +108,7 @@ def ref_is_dmr(f, w):
             return False
     except NotHomogeneous:
         return False
-    if not is_lie(f):
+    if not dsw_is_lie(f):
         return False
     if coefficient(f, ("x", "y")) != 0:
         return False
@@ -146,7 +146,7 @@ def ref_krv(p, w):
     ok = ref_is_krv(p, w)
     witness = None
     if not ok:
-        if not is_lie(p):
+        if not dsw_is_lie(p):
             witness = {"stage": "lie"}
         elif isinstance(solve_G(p, w), NoSolution):
             witness = {"stage": "kv1"}
@@ -160,7 +160,7 @@ def ref_dmr(p, w):
     witness = None
     if not ok:
         c = coefficient(p, ("x", "y"))
-        if not is_lie(p):
+        if not dsw_is_lie(p):
             witness = {"stage": "lie"}
         elif c:
             witness = {"stage": "c_xy", "value": fmt_rat(c)}
@@ -342,19 +342,23 @@ def write(tmp_path, name, obj):
 
 def test_check_krv_runs_each_stage_once(tmp_path, monkeypatch, capsys):
     path = write(tmp_path, "kv2fail.json", poly_to_json(KV2_FAIL))
-    calls = count_calls(monkeypatch, liealg.solve_G, ncword.is_lie)
+    G = solve_G(KV2_FAIL, 5)
+    calls = count_calls(monkeypatch, liealg.solve_G, ncword.lie_witness)
     assert main(["check", "krv", "--input", path]) == 1
     assert 'witness: {"stage": "kv2"}' in capsys.readouterr().out
-    assert Counter({k: len(v) for k, v in calls.items()}) == {"solve_G": 1, "is_lie": 1}
+    assert Counter({k: len(v) for k, v in calls.items()}) == {"solve_G": 1, "lie_witness": 2}
+    # once on the input, once on G inside solve_G
+    assert [p for (p,) in calls["lie_witness"]] == [KV2_FAIL, G]
 
 
 def test_check_dmr_runs_each_stage_once(tmp_path, monkeypatch, capsys):
     path = write(tmp_path, "lyn5.json", poly_to_json(L5[0]))
-    calls = count_calls(monkeypatch, liealg.primitivity_defect, ncword.is_lie)
+    calls = count_calls(monkeypatch, liealg.primitivity_defect, ncword.lie_witness)
     assert main(["check", "dmr", "--input", path]) == 1
     assert '"stage": "primitivity"' in capsys.readouterr().out
     assert Counter({k: len(v) for k, v in calls.items()}) == {
-        "primitivity_defect": 1, "is_lie": 1}
+        "primitivity_defect": 1, "lie_witness": 1}
+    assert [p for (p,) in calls["lie_witness"]] == [L5[0]]
 
 
 def test_check_alternal_runs_each_split_once(tmp_path, monkeypatch, capsys):
