@@ -76,9 +76,10 @@ def ma(h):
     for wd, c in h.terms.items():
         e = _word_exponents(wd)
         by_depth.setdefault(len(e) - 1, {})[e] = c
-    comps = [Fraction(0)]
-    for r in range(1, max(map(len, h.terms), default=0) + 1):
+    depth = max(map(len, h.terms), default=0)
+    comps = {}
+    for r in range(1, depth + 1):
         # z_0 = 0, z_k = u_1 + ... + u_k
         forms = [(0,) * r] + [(1,) * k + (0,) * (r - k) for k in range(1, r + 1)]
-        comps.append(substitute(MultiPoly._raw(r + 1, by_depth.get(r, {})), forms, r))
-    return Mould(comps)
+        comps[r] = substitute(MultiPoly._raw(r + 1, by_depth.get(r, {})), forms, r)
+    return Mould.from_components(depth, comps)

@@ -3,10 +3,11 @@
 # dmr_basis/krv_basis in process; paper-suite solves each (algebra, weight)
 # once per invocation.
 #
-# Wire conventions: rationals are strings like "-3/7"; a polynomial in x, y
-# is a list of {"coeff", "word"}; a mould is an object keyed by depth whose
-# values list {"coeff", "exponents"}.  Reports are byte-identical across
-# runs for identical inputs, which is why timings are opt-in.
+# Wire conventions: a rational is exactly the string "n" or "n/d", like
+# "-3/7"; a polynomial in x, y is a list of {"coeff", "word"}; a mould is an
+# object keyed by depth, "0" included, whose values list {"coeff",
+# "exponents"}.  Reports are byte-identical across runs for identical
+# inputs, which is why timings are opt-in.
 
 import argparse
 import functools
@@ -14,6 +15,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 import time
 import traceback
@@ -70,15 +72,21 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # wire format
 
+_RAT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def fmt_rat(q):
     return str(Fraction(q))
 
 
 def parse_rat(s, loc):
+    """Exactly what fmt_rat writes: a string "n" or "n/d" of ASCII digits."""
     try:
-        return Fraction(str(s))
+        if isinstance(s, str) and _RAT.fullmatch(s):
+            return Fraction(s)
     except (ValueError, ZeroDivisionError):
-        raise ParseError("not a rational: %r" % (s,), loc)
+        pass
+    raise ParseError("not a rational: %r" % (s,), loc)
 
 
 def poly_to_json(p):
@@ -118,15 +126,7 @@ def mp_to_json(poly):
 def mould_to_json(m):
     if not isinstance(m, Mould):
         raise TypeError("mould_to_json needs a Mould, got %s" % type(m).__name__)
-    out = {}
-    out["0"] = (
-        [{"coeff": fmt_rat(m.component(0)), "exponents": []}]
-        if m.component(0)
-        else []
-    )
-    for d in range(1, m.depth + 1):
-        out[str(d)] = mp_to_json(m.component(d))
-    return out
+    return {str(d): mp_to_json(p) for d, p in enumerate(m.components)}
 
 
 def mould_from_json(obj, loc="input"):
@@ -165,7 +165,7 @@ def mould_from_json(obj, loc="input"):
                 )
             e = tuple(e)
             terms[e] = terms.get(e, Fraction(0)) + c
-        comps[d] = terms.get((), Fraction(0)) if d == 0 else terms
+        comps[d] = terms
     return Mould.from_components(maxd, comps)
 
 
@@ -255,10 +255,12 @@ def _render(report, fmt, out):
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as e:
         raise ParseError("cannot read input: %s" % e, path)
+    except UnicodeDecodeError as e:
+        raise ParseError("input is not UTF-8: %s" % e.reason, path)
     except json.JSONDecodeError as e:
         raise ParseError("invalid JSON: %s" % e.msg, "%s:%d:%d" % (path, e.lineno, e.colno))
 
@@ -289,7 +291,9 @@ def cmd_verify_senary(args):
     _check_rmax(rmax)
     echo = {"command": "verify-senary", "rmax": rmax}
     checks, conjectural = [], []
-    if args.input:
+    if args.input is not None and args.weight is not None:
+        raise ParseError("--weight and --input exclude each other", "arguments")
+    if args.input is not None:
         echo["input"] = os.path.basename(args.input)
         obj = _load_json(args.input)
         entries = obj if isinstance(obj, list) else [obj]
@@ -353,8 +357,8 @@ def _check_mould_property(prop, mo, rmax):
     elif prop == "alternil":
         got = alternil_up_to_constant(mo)
         if isinstance(got, NoSolution):
-            if mo.component(0):
-                witness = {"m0": fmt_rat(mo.component(0))}
+            if not mo.components[0].is_zero():
+                witness = {"m0": fmt_rat(mo.components[0].coefficient(()))}
             else:
                 witness = {
                     "splits": [

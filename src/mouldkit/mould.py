@@ -1,5 +1,5 @@
 # Moulds: finite sequences (M^0, M^1(x1), ..., M^D(x1..xD)) with M^m a
-# polynomial in m commuting variables, together with the elementary operators:
+# MultiPoly in m commuting variables (M^0 in none), and the operators on them:
 # the deconcatenation product, swap, push, mantar, teru, the components of
 # the u-map and of the collision maps, and pus-neutrality.  Arguments move
 # in two ways only: substitute for an integer linear change of variables,
@@ -21,7 +21,8 @@ class SlotError(ValueError):
 
 
 class Mould:
-    """components[0] is a Fraction, components[m] a MultiPoly in m vars."""
+    """components[m] is a MultiPoly in m variables for every m from 0 to
+    depth; M^0 is a polynomial in no variables, MultiPoly(0, {(): c})."""
 
     __slots__ = ("depth", "components")
 
@@ -29,8 +30,8 @@ class Mould:
         components = list(components)
         if not components:
             raise ValueError("need at least the depth-0 component")
-        out = [rat(components[0])]
-        for m, c in enumerate(components[1:], start=1):
+        out = []
+        for m, c in enumerate(components):
             if isinstance(c, dict):
                 c = MultiPoly(m, c)
             if not isinstance(c, MultiPoly):
@@ -43,12 +44,12 @@ class Mould:
 
     @classmethod
     def zero(cls, depth):
-        return cls([Fraction(0)] + [MultiPoly.zero(m) for m in range(1, depth + 1)])
+        return cls([MultiPoly.zero(m) for m in range(depth + 1)])
 
     @classmethod
     def from_components(cls, depth, comps):
-        """comps: dict m -> MultiPoly/dict/Fraction, missing entries zero."""
-        full = [Fraction(0)] + [MultiPoly.zero(m) for m in range(1, depth + 1)]
+        """comps: dict m -> MultiPoly/term dict, missing entries zero."""
+        full = [MultiPoly.zero(m) for m in range(depth + 1)]
         for m, c in comps.items():
             if not 0 <= m <= depth:
                 raise ValueError("component %r outside depth %d" % (m, depth))
@@ -59,57 +60,40 @@ class Mould:
         """M^m, with components beyond the declared depth implicitly zero."""
         if m < 0:
             raise ValueError("component needs m >= 0, got %r" % (m,))
-        if m == 0:
-            return self.components[0]
         if m <= self.depth:
             return self.components[m]
         return MultiPoly.zero(m)
 
     def is_zero(self):
-        if self.components[0]:
-            return False
-        return all(self.components[m].is_zero() for m in range(1, self.depth + 1))
+        return all(c.is_zero() for c in self.components)
 
     def __eq__(self, other):
         if not isinstance(other, Mould):
             return NotImplemented
         d = max(self.depth, other.depth)
-        if self.components[0] != other.components[0]:
-            return False
-        return all(self.component(m) == other.component(m) for m in range(1, d + 1))
+        return all(self.component(m) == other.component(m) for m in range(d + 1))
 
     __hash__ = None
 
     def __add__(self, other):
         _check_mould(other, "Mould arithmetic")
         d = max(self.depth, other.depth)
-        comps = [self.components[0] + other.components[0]]
-        comps += [self.component(m) + other.component(m) for m in range(1, d + 1)]
-        return Mould(comps)
+        return Mould([self.component(m) + other.component(m) for m in range(d + 1)])
 
     def __sub__(self, other):
         _check_mould(other, "Mould arithmetic")
         d = max(self.depth, other.depth)
-        comps = [self.components[0] - other.components[0]]
-        comps += [self.component(m) - other.component(m) for m in range(1, d + 1)]
-        return Mould(comps)
+        return Mould([self.component(m) - other.component(m) for m in range(d + 1)])
 
     def __neg__(self):
         return Fraction(-1) * self
 
     def __rmul__(self, c):
         c = rat(c)
-        comps = [c * self.components[0]]
-        comps += [c * self.components[m] for m in range(1, self.depth + 1)]
-        return Mould(comps)
+        return Mould([c * p for p in self.components])
 
     def __repr__(self):
-        bits = []
-        if self.components[0]:
-            bits.append("0: %s" % self.components[0])
-        for m in range(1, self.depth + 1):
-            if not self.components[m].is_zero():
-                bits.append("%d: %r" % (m, self.components[m]))
+        bits = ["%d: %r" % (m, p) for m, p in enumerate(self.components) if not p.is_zero()]
         return "Mould(depth=%d%s)" % (self.depth, ", " + ", ".join(bits) if bits else "")
 
 
@@ -148,24 +132,18 @@ class ConstantMould:
 # product
 
 def mould_mul(a, b):
-    """(A x B)^m = sum_i A^i(x_1..x_i) B^{m-i}(x_{i+1}..x_m)."""
+    """(A x B)^m = sum_i A^i(x_1..x_i) B^{m-i}(x_{i+1}..x_m): the exponent
+    tuples concatenate, so the key () of M^0 is neutral."""
     _check_mould(a, "mould_mul")
     _check_mould(b, "mould_mul")
     depth = a.depth + b.depth
-    comps = [a.components[0] * b.components[0]]
-    for m in range(1, depth + 1):
+    comps = []
+    for m in range(depth + 1):
         acc = {}
         for i in range(m + 1):
-            if i == 0:
-                part = _sp.scale_terms(b.component(m).terms, a.components[0])
-            elif i == m:
-                part = _sp.scale_terms(a.component(m).terms, b.components[0])
-            else:
-                ta, tb = a.component(i).terms, b.component(m - i).terms
-                if not ta or not tb:
-                    continue
-                part = _sp.concat_mul_terms(ta, tb)
-            acc = _sp.add_terms(acc, part)
+            ta, tb = a.component(i).terms, b.component(m - i).terms
+            if ta and tb:
+                acc = _sp.add_terms(acc, _sp.concat_mul_terms(ta, tb))
         comps.append(MultiPoly._raw(m, acc))
     return Mould(comps)
 

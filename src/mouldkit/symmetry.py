@@ -29,7 +29,7 @@ from .mould import (
     swap,
     u_component,
 )
-from .ncword import lyndon_basis
+from .ncword import lyndon_basis, lyndon_combination
 
 
 class AlternilityCertificate:
@@ -82,13 +82,14 @@ def alternality_defect(mo, p, q):
 
 
 def alternal_witness(mo):
-    """None when M is alternal, else {"m0": M^0} or {"p", "q", "defect"}
-    for the first nonzero (p,q) shuffle sum by p+q, then p.  The (q,p) sum
-    is the (p,q) sum with its variables relabelled, so only p <= q is
-    walked: the first failure over all splits has p <= q anyway."""
+    """None when M is alternal, else {"m0": c} for M^0 = c != 0 (a Fraction)
+    or {"p", "q", "defect"} for the first nonzero (p,q) shuffle sum by p+q,
+    then p.  The (q,p) sum is the (p,q) sum with its variables relabelled,
+    so only p <= q is walked: the first failure over all splits has p <= q
+    anyway."""
     _check_mould(mo, "alternal_witness")
-    if mo.components[0] != 0:
-        return {"m0": mo.components[0]}
+    if not mo.components[0].is_zero():
+        return {"m0": mo.components[0].coefficient(())}
     for m in range(2, mo.depth + 1):
         if mo.components[m].is_zero():
             continue
@@ -116,7 +117,7 @@ def alternil_up_to_constant(mo):
     NoSolution carrying the irreducible (p, q, defect) witnesses, or the
     reason alone when M^0 is nonzero."""
     _check_mould(mo, "alternil_up_to_constant")
-    if mo.components[0] != 0:
+    if not mo.components[0].is_zero():
         return NoSolution("alternility needs a vanishing constant term")
     consts = [Fraction(0), Fraction(0)]
     residual = []
@@ -259,34 +260,33 @@ def _certified_lie_columns(w):
     return basis
 
 
-def _nullspace_moulds(basis, blocks, ncols):
-    out = []
-    for v in nullspace(RatMatrix(ncols, *blocks)):
-        mo = Mould.zero(basis[0].depth)
-        for j, b in enumerate(basis):
-            if v[j]:
-                mo = mo + v[j] * b
-        out.append(mo)
-    return out
+def _nullspace_moulds(w, blocks, ncols):
+    """ma of the Lie element whose Lyndon coordinates lead each null vector;
+    ma is linear, so this is that combination of the Lie columns."""
+    n = len(lyndon_basis(w, XY))
+    return [ma(lyndon_combination(v[:n], w, XY))
+            for v in nullspace(RatMatrix(ncols, *blocks))]
 
 
 def ari_alil_space(w):
     """Basis of the weight-w moulds that are alternal with swap alternil up
     to a constant mould.  The unknown constants C_2..C_w ride along as extra
     columns of the joint linear system and are projected away at the end
-    (the projection is injective: M = 0 forces every C_m = 0)."""
+    (the projection is injective: M = 0 forces every C_m = 0).  Only the
+    splits p <= q are imposed: the (q, p) rows are the (p, q) rows with the
+    variables relabelled, and binom(m, q) = binom(m, p)."""
     basis = _lie_columns(w, "ari_alil_space")
     nconst = w - 1
     swaps = [swap(b) for b in basis]
     blocks = []
     for m in range(2, w + 1):
-        for p in range(1, m):
+        for p in range(1, m // 2 + 1):
             # C_m adds binom(m, p) to the constant term of the (p, q) sum
             consts = [{}] * nconst
             consts[m - 2] = {(0,) * m: comb(m, p)}
             il = [alternility_defect(s, p, m - p).terms for s in swaps]
             blocks.append(il + consts)
-    return _nullspace_moulds(basis, blocks, len(basis) + nconst)
+    return _nullspace_moulds(w, blocks, len(basis) + nconst)
 
 
 def ari_sena_pusnu_space(w):
@@ -297,4 +297,4 @@ def ari_sena_pusnu_space(w):
     swaps = [swap(b) for b in basis]
     blocks = [[senary_defect(b, r).terms for b in basis] for r in range(1, w + 1)]
     blocks += [[pus_sum(s, m).terms for s in swaps] for m in range(1, w + 1)]
-    return _nullspace_moulds(basis, blocks, len(basis))
+    return _nullspace_moulds(w, blocks, len(basis))

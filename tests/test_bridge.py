@@ -109,7 +109,7 @@ def test_coeff_table():
 
 def test_ma_pins():
     m = ma(word("y", "x"))
-    assert m.component(0) == 0
+    assert m.component(0).is_zero()
     assert m.component(1).terms == {(1,): Fraction(1)}
     assert m.component(2).is_zero()
     assert ma(word("x", "y")).component(1).is_zero()

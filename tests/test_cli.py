@@ -24,6 +24,7 @@ from mouldkit.cli import (
     poly_from_json,
     poly_to_json,
 )
+from mouldkit.kernel import MultiPoly
 from mouldkit.mould import Mould
 from mouldkit.ncword import NCPoly, lie_bracket, lyndon_basis
 
@@ -62,6 +63,23 @@ def test_rat_round_trip():
         parse_rat("pi", "t")
 
 
+@pytest.mark.parametrize("s", ["1e5000", "0.5", 1, " 1", "+1", "1/-2", "1_0", "1" * 5000])
+def test_parse_rat_accepts_only_what_fmt_rat_writes(s):
+    with pytest.raises(ParseError) as e:
+        parse_rat(s, "input.0.coeff")
+    assert "(at input.0.coeff)" in str(e.value)
+
+
+def test_huge_exponent_coefficient_is_a_parse_error(tmp_path, capsys):
+    # Fraction("1e5000") is exact, and printing it overflowed int->str
+    path = write(tmp_path, "huge.json", [{"coeff": "1e5000", "word": "xy"},
+                                         {"coeff": "-1e5000", "word": "yx"}])
+    assert main(["check", "dmr", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert "(at input.0.coeff)" in captured.err
+    assert captured.out == ""
+
+
 def test_poly_round_trip():
     p = 3 * NCPoly.from_word(XY, ("x", "y")) - Fraction(1, 2) * Y
     assert poly_from_json(poly_to_json(p)) == p
@@ -90,7 +108,9 @@ def test_mould_round_trip_pin():
     assert again == mo
     # depth-0 entry carries the scalar part
     scalar = mould_from_json({"0": [{"coeff": "7", "exponents": []}]})
-    assert scalar.component(0) == 7
+    assert scalar.component(0) == MultiPoly.const(0, 7)
+    assert mould_to_json(scalar) == {"0": [{"coeff": "7", "exponents": []}]}
+    assert mould_to_json(Mould.zero(1)) == {"0": [], "1": []}
 
 
 def test_mould_parse_errors():
@@ -227,6 +247,14 @@ def test_verify_senary_conjectural_key(tmp_path, capsys):
     assert all(c["result"] == "holds" for c in report["conjectural"])
 
 
+def test_verify_senary_weight_with_input_is_parse_error(tmp_path, capsys):
+    path = write(tmp_path, "dmr3.json", [DMR3_MOULD])
+    assert main(["verify-senary", "--weight", "5", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert "(at arguments)" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_senary_empty_input_is_parse_error(tmp_path, capsys):
     path = write(tmp_path, "empty.json", [])
     assert main(["verify-senary", "--input", path]) == 2
@@ -353,6 +381,18 @@ def test_check_parse_error_exit(tmp_path, capsys):
     assert "input.2.0" in capsys.readouterr().err
     assert main(["check", "senary", "--input", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["check", "dmr", "--input"],
+                                  ["check", "alternal", "--input"],
+                                  ["verify-senary", "--input"]])
+def test_non_utf8_input_is_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + "[]".encode("utf-16-le"))
+    assert main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "not UTF-8" in captured.err and "(at %s)" % path in captured.err
+    assert captured.out == ""
 
 
 def test_paper_suite_weight2_and_bound(capsys):

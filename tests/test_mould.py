@@ -34,9 +34,7 @@ def v(m, i):
 
 
 def Mo(depth, comps, m0=0):
-    mo = Mould.from_components(depth, comps)
-    mo.components[0] = Fraction(m0)
-    return mo
+    return Mould.from_components(depth, {0: MultiPoly.const(0, m0), **comps})
 
 
 # -- strategies --------------------------------------------------------------
@@ -81,11 +79,11 @@ def test_linear_structure():
     a = Mo(2, {1: {(1,): 1}}, m0=2)
     b = Mo(1, {1: {(2,): 3}})
     s = a + b
-    assert s.components[0] == 2
+    assert s.components[0] == MultiPoly.const(0, 2)
     assert s.component(1) == v(1, 1) + 3 * v(1, 1) * v(1, 1)
     assert (s - b) == a
     half = Fraction(1, 2) * a
-    assert half.components[0] == 1
+    assert half.components[0] == MultiPoly.const(0, 1)
     assert (-a) + a == Mould.zero(2)
 
 
@@ -93,14 +91,26 @@ def test_linear_structure():
     "components, error",
     [
         ([], ValueError),
-        ([0, "x1"], TypeError),
-        ([0, MultiPoly.var(2, 0)], ValueError),
-        ([0, MultiPoly.zero(1), MultiPoly.zero(3)], ValueError),
+        ([{}, "x1"], TypeError),
+        ([{}, MultiPoly.var(2, 0)], ValueError),
+        ([{}, MultiPoly.zero(1), MultiPoly.zero(3)], ValueError),
+        ([1], TypeError),
+        ([Fraction(0), MultiPoly.zero(1)], TypeError),
+        ([MultiPoly.const(1, 1)], ValueError),
     ],
 )
 def test_mould_rejects_bad_components(components, error):
     with pytest.raises(error):
         Mould(components)
+
+
+def test_depth_zero_is_a_polynomial_in_no_variables():
+    a = Mould([{(): Fraction(3, 2)}, {(1,): 1}])
+    assert a == Mould([MultiPoly.const(0, Fraction(3, 2)), v(1, 1)])
+    assert a.component(0).coefficient(()) == Fraction(3, 2)
+    assert not Mould([{(): 1}]).is_zero()
+    assert Mould.zero(2).component(0) == MultiPoly.zero(0)
+    assert repr(a) == "Mould(depth=1, 0: 3/2, 1: x1)"
 
 
 @pytest.mark.parametrize(
@@ -128,7 +138,8 @@ def test_input_validation_survives_optimize():
         "from mouldkit.mould import Mould",
         "cases = [lambda: MultiPoly(-1), lambda: MultiPoly(2, {(1,): 1}),",
         "         lambda: MultiPoly(1, {(-1,): 1}), lambda: Mould([]),",
-        "         lambda: Mould([0, MultiPoly.var(2, 0)]), lambda: Mould([0, 'x1']),",
+        "         lambda: Mould([{}, MultiPoly.var(2, 0)]), lambda: Mould([{}, 'x1']),",
+        "         lambda: Mould([1]),",
         "         lambda: Mould.from_components(2, {2: MultiPoly.var(3, 0)}),",
         "         lambda: Mould.zero(1) + 1, lambda: Mould.zero(1) - 1]",
         "for case in cases:",
@@ -161,8 +172,9 @@ def test_constant_mould():
 
 def test_mul_unit():
     m = Mo(2, {1: {(2,): 1}, 2: {(1, 1): 3}}, m0=5)
-    assert mould_mul(Mould.from_components(0, {0: 1}), m) == m
-    assert mould_mul(m, Mould.from_components(0, {0: 1})) == m
+    one = Mould([{(): 1}])
+    assert mould_mul(one, m) == m
+    assert mould_mul(m, one) == m
 
 
 def test_mul_depth2_expansion():
@@ -181,7 +193,7 @@ def test_mul_depth2_expansion():
 def test_mul_square_of_depth1():
     a = Mo(1, {1: {(1,): 1}})
     sq = mould_mul(a, a)
-    assert sq.components[0] == 0
+    assert sq.components[0].is_zero()
     assert sq.component(1).is_zero()
     assert sq.component(2) == v(2, 1) * v(2, 2)
 
@@ -198,8 +210,8 @@ def test_mul_associative(a, b, c):
        st.integers(1, 3))
 def test_mul_respects_filtration(a, b, fa, fb):
     # kill components below fa (resp. fb), including the constants
-    a.components[0] = Fraction(0)
-    b.components[0] = Fraction(0)
+    a.components[0] = MultiPoly.zero(0)
+    b.components[0] = MultiPoly.zero(0)
     for m in range(1, min(fa, a.depth) + 1):
         if m < fa:
             a.components[m] = MultiPoly.zero(m)
@@ -207,7 +219,7 @@ def test_mul_respects_filtration(a, b, fa, fb):
         if m < fb:
             b.components[m] = MultiPoly.zero(m)
     prod = mould_mul(a, b)
-    assert prod.components[0] == 0
+    assert prod.components[0].is_zero()
     for m in range(1, min(fa + fb, prod.depth + 1)):
         assert prod.component(m).is_zero(), (m, fa, fb)
 
@@ -293,7 +305,7 @@ def test_push_pins():
     assert push(m).component(2) == -v(2, 1) - v(2, 2)
     sq = Mo(1, {1: {(2,): 1}})
     assert push(sq).component(1) == sq.component(1)
-    assert push(Mould.from_components(0, {0: 1})) == Mould.from_components(0, {0: 1})
+    assert push(Mould([{(): 1}])) == Mould([{(): 1}])
 
 
 @settings(max_examples=25)
@@ -348,7 +360,7 @@ def test_teru_pin():
 
 
 def test_teru_unit():
-    assert teru(Mould.from_components(0, {0: 1})) == Mould.from_components(0, {0: 1})
+    assert teru(Mould([{(): 1}])) == Mould([{(): 1}])
 
 
 def test_teru_depth1_of_fil2_vanishes():
@@ -392,9 +404,9 @@ def test_translate_pin():
 
 
 def test_translate_unit():
-    t = translate_t(Mould.from_components(0, {0: 1}))
+    t = translate_t(Mould([{(): 1}]))
     assert t.component(2).is_zero()
-    assert t == Mould.from_components(0, {0: 1})
+    assert t == Mould([{(): 1}])
 
 
 def test_u_map_depth3_pin():

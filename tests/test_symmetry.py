@@ -81,7 +81,7 @@ def test_alternal_pins():
 
 
 def test_alternal_rejects_nonzero_constant_component():
-    m = Mould.from_components(2, {0: 1})
+    m = Mould.from_components(2, {0: {(): 1}})
     assert alternal_witness(m) is not None
 
 
@@ -134,7 +134,7 @@ def test_alternil_no_solution_carries_defects():
 
 
 def test_alternil_nonzero_depth_zero_is_no_solution():
-    res = alternil_up_to_constant(Mould.from_components(2, {0: 1}))
+    res = alternil_up_to_constant(Mould.from_components(2, {0: {(): 1}}))
     assert isinstance(res, NoSolution), res
     assert "constant term" in res.reason
     assert res.defects == []
@@ -243,7 +243,7 @@ def in_ari_sena_pusnu(mo):
     """Senary for all r (truncated at depth D + 1: the depth-(D+1) instance
     still has content through the divided differences of M^D, every higher
     one vanishes identically) plus pus-neutrality of swap(M)."""
-    return (mo.components[0] == 0
+    return (mo.components[0].is_zero()
             and all(senary_holds(mo, r) for r in range(1, mo.depth + 2))
             and pusnu_witness(swap(mo)) is None)
 
@@ -257,7 +257,7 @@ def in_ari_al_star_il(mo):
 def test_in_ari_sena_pusnu_pins():
     assert in_ari_sena_pusnu(Mould.zero(3))
     assert not in_ari_sena_pusnu(Mo(2, {2: {(1, 0): 1}}))
-    assert not in_ari_sena_pusnu(Mould.from_components(2, {0: 1}))
+    assert not in_ari_sena_pusnu(Mould.from_components(2, {0: {(): 1}}))
 
 
 def test_in_ari_sena_pusnu_checks_depth_plus_one():

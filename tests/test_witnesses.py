@@ -63,13 +63,14 @@ def Mo(depth, comps):
 # --- the reference ------------------------------------------------------------
 #
 # The witness derivations of `check` before the predicates returned their
-# first failure, verbatim, with the boolean predicates they consulted (also
-# verbatim, so the reference shares no ladder with the code under test).
+# first failure, verbatim but for reading M^0 as a polynomial in no
+# variables, with the boolean predicates they consulted (also verbatim, so
+# the reference shares no ladder with the code under test).
 
 def ref_is_alternal(mo):
     """M^0 = 0 and every (p,q) shuffle sum vanishes, p+q <= declared depth."""
     assert isinstance(mo, Mould), mo
-    if mo.components[0] != 0:
+    if not mo.components[0].is_zero():
         return False
     for m in range(2, mo.depth + 1):
         if mo.components[m].is_zero():
@@ -120,8 +121,8 @@ def ref_alternal(mo):
     ok = ref_is_alternal(mo)
     witness = None
     if not ok:
-        if mo.component(0):
-            witness = {"m0": fmt_rat(mo.component(0))}
+        if not mo.component(0).is_zero():
+            witness = {"m0": fmt_rat(mo.component(0).coefficient(()))}
         else:
             witness = next(
                 {"p": p, "q": q, "defect": mp_to_json(d)}
@@ -195,7 +196,7 @@ def witness_moulds(draw):
     sum vanishes."""
     depth = draw(st.integers(1, 4))
     lie = ma(draw(lie_polys(depth)))
-    comps = {0: draw(st.sampled_from([Fraction(0)] * 4 + [Fraction(3, 2)]))}
+    comps = {0: MultiPoly.const(0, draw(st.sampled_from([0] * 4 + [Fraction(3, 2)])))}
     for m in range(1, depth + 1):
         kind = draw(st.sampled_from(["random", "zero", "lie", "rotation"]))
         if kind == "random":
@@ -278,7 +279,7 @@ def test_qp_shuffle_sum_vanishes_with_the_pq_sum(mo, data):
 
 def test_alternal_witness_pins():
     assert alternal_witness(Mo(2, {2: {(1, 0): 1, (0, 1): -1}})) is None
-    assert alternal_witness(Mould.from_components(2, {0: 1})) == {"m0": Fraction(1)}
+    assert alternal_witness(Mould.from_components(2, {0: {(): 1}})) == {"m0": Fraction(1)}
     got = alternal_witness(Mo(2, {2: {(1, 1): 1}}))
     assert got == {"p": 1, "q": 1, "defect": MultiPoly(2, {(1, 1): 2})}
     got = alternal_witness(Mo(4, {4: {(1, 0, 0, 0): 1}}))
