@@ -6,7 +6,7 @@ from math import lcm
 
 from .kernel import MultiPoly, substitute
 from .mould import Mould
-from .ncword import XY, NCPoly, _check_xy, homogeneous_weight
+from .ncword import XY, NCPoly, _check_xy, _word_exponents, homogeneous_weight
 
 
 def _signed_word_map(p, y_sign):
@@ -36,18 +36,6 @@ def ftilde_to_F(f):
     """Inverse change of variables: f(x, y) -> f(-x - y, -y)."""
     _check_xy(f, "ftilde_to_F")
     return _signed_word_map(f, -1)
-
-
-def _word_exponents(wd):
-    """x-run lengths around the y letters: x^{e_0} y x^{e_1} ... y x^{e_r}
-    maps to (e_0, ..., e_r)."""
-    runs = [0]
-    for s in wd:
-        if s == "x":
-            runs[-1] += 1
-        else:
-            runs.append(0)
-    return tuple(runs)
 
 
 def vimo(h, r):

@@ -1,7 +1,12 @@
 # Lie-algebra membership machinery: the Kashiwara-Vergne side (KV1 linear
-# solve, KV2 trace condition), the double shuffle side (the y-alphabet
-# projection, star regularization, the coproduct on A_Y and its primitivity
-# test), and the graded basis solvers over Lyndon coordinates.
+# solve, KV2 trace condition), the double shuffle side (star regularization
+# of f(x, -y) straight onto y-words, the coproduct on A_Y and its
+# primitivity test), and the graded basis solvers over Lyndon coordinates.
+#
+# A y-word is a composition, a tuple of positive ints.  The flip y -> -y
+# that dmr membership applies before regularizing lives in star_regularize:
+# its sign (-1)^m on a word with m letters y cancels the (-1)^m of the
+# projection to y-words, so no separate pass flips or projects.
 
 from fractions import Fraction
 from itertools import product
@@ -14,13 +19,13 @@ from .ncword import (
     NotHomogeneous,
     _check_ncpoly,
     _check_xy,
+    _word_exponents,
     coefficient,
     homogeneous_weight,
     lie_witness,
     lyndon_basis,
     lyndon_combination,
     lyndon_words,
-    scale_letter,
     trace,
 )
 
@@ -178,63 +183,40 @@ def krv_witness(F, w):
 
 
 # ---------------------------------------------------------------------------
-# the y-alphabet side
+# the y-word side: y_{n_1} ... y_{n_m} is the composition (n_1, ..., n_m)
 
-def _y_alphabet(n):
-    return tuple("y%d" % i for i in range(1, n + 1))
-
-
-def _max_word_weight(p):
-    if p.is_zero():
-        return 1
-    return max(len(wd) for wd in p.terms) or 1
-
-
-def pi_Y(p):
-    """Kill words ending in x; send x^{a_1} y ... x^{a_m} y to
-    (-1)^m y_{a_1+1} ... y_{a_m+1}, order preserved."""
-    _check_ncpoly(p, "pi_Y")
-    if not set(p.alphabet) <= set(XY):
-        raise ValueError("pi_Y needs an alphabet within x, y, got %r" % (p.alphabet,))
-    alphabet = _y_alphabet(_max_word_weight(p))
-    # the words ending in y (and the empty word) map one to one
+def star_regularize(f):
+    """The star regularization of f(x, -y), an NCPoly over the int letters
+    1..n for n the longest word length of f.  A word x^{a_1} y ... x^{a_m} y
+    maps to (a_1+1, ..., a_m+1) with f's own coefficient: the flip y -> -y
+    and the (-1)^m of the projection to y-words cancel.  Words ending in x
+    are dropped.  The coefficient c of x^{k-1} y also adds
+    (-1)^{k+1} / k * c on the word (1,) * k."""
+    _check_xy(f, "star_regularize")
     out = {}
-    for wd, c in p.terms.items():
-        if wd and wd[-1] == "x":
-            continue
-        letters = []
-        run = 0
-        for s in wd:
-            if s == "x":
-                run += 1
-            else:
-                letters.append("y%d" % (run + 1))
-                run = 0
-        out[tuple(letters)] = -c if len(letters) % 2 else c
-    return NCPoly._raw(alphabet, out)
-
-
-def star_regularize(p):
-    """p_* = p_corr + pi_Y(p) with
-    p_corr = sum_n (-1)^n / n * c_{x^{n-1} y}(p) * y_1^n."""
-    _check_ncpoly(p, "star_regularize")
-    out = pi_Y(p)
-    for k in range(1, _max_word_weight(p) + 1):
-        c = coefficient(p, ("x",) * (k - 1) + ("y",))
+    for wd, c in f.terms.items():
+        e = _word_exponents(wd)
+        if not e[-1]:
+            out[tuple(a + 1 for a in e[:-1])] = c
+    n = max(map(len, f.terms), default=0) or 1
+    for k in range(1, n + 1):
+        c = f.terms.get(("x",) * (k - 1) + ("y",))
         if c:
-            key = ("y1",) * k
-            v = out.terms.get(key, 0) + Fraction(-1 if k % 2 else 1, k) * c
+            key = (1,) * k
+            v = out.get(key, 0) + Fraction(1 if k % 2 else -1, k) * c
             if v:
-                out.terms[key] = v
+                out[key] = v
             else:
-                del out.terms[key]
-    return out
+                del out[key]
+    return NCPoly._raw(tuple(range(1, n + 1)), out)
 
 
-def _y_index(s):
-    if not (isinstance(s, str) and s[:1] == "y" and s[1:].isdigit()):
-        raise ValueError("delta_star needs letters y<n>, got %r" % (s,))
-    return int(s[1:])
+def _check_compositions(p, name):
+    """Refuse anything but an NCPoly whose letters are ints n >= 1; bool is
+    not an int letter."""
+    _check_ncpoly(p, name)
+    if not all(type(n) is int and n >= 1 for n in p.alphabet):
+        raise ValueError("%s needs int letters n >= 1, got %r" % (name, p.alphabet))
 
 
 def _word_coproduct(wd, memo):
@@ -245,11 +227,9 @@ def _word_coproduct(wd, memo):
         if not wd:
             got = {((), ()): 1}
         else:
-            n = _y_index(wd[-1])
-            splits = [
-                (("y%d" % i,) if i else (), ("y%d" % (n - i),) if n - i else ())
-                for i in range(n + 1)
-            ]
+            n = wd[-1]
+            splits = [((i,) if i else (), (n - i,) if n - i else ())
+                      for i in range(n + 1)]
             got = {}
             for (left, right), k in _word_coproduct(wd[:-1], memo).items():
                 for a, b in splits:
@@ -262,11 +242,12 @@ def _word_coproduct(wd, memo):
 def delta_star(p, memo=None):
     """The coproduct with Delta(y_n) = sum_i y_i (x) y_{n-i}, y_0 = 1,
     extended multiplicatively to words and linearly; returned as a mapping
-    (left word, right word) -> coefficient.
+    (left word, right word) -> coefficient.  p is an NCPoly over int
+    letters, the letter n standing for y_n.
 
     memo, a dict, holds word coproducts for reuse by later calls; one
     graded solve shares one."""
-    _check_ncpoly(p, "delta_star")
+    _check_compositions(p, "delta_star")
     if memo is None:
         memo = {}
     # integer numerators over the common denominator of p's coefficients
@@ -281,7 +262,7 @@ def delta_star(p, memo=None):
 
 def primitivity_defect(p, memo=None):
     """delta_star(p) - p (x) 1 - 1 (x) p, as the same kind of mapping."""
-    _check_ncpoly(p, "primitivity_defect")
+    _check_compositions(p, "primitivity_defect")
     out = delta_star(p, memo)
     for wd, c in p.terms.items():
         for key in ((wd, ()), ((), wd)):
@@ -296,13 +277,15 @@ def primitivity_defect(p, memo=None):
 def dmr_witness(f, w):
     """None when f lies in dmr_w, else the first failed stage of weight w,
     Lie, c_{xy} = 0 ({"stage": "c_xy", "value": c_xy}) and primitivity of
-    the star regularization of the y-flipped element for delta_star
-    ({"stage": "primitivity", "defect": its primitivity_defect}).
+    star_regularize(f) for delta_star ({"stage": "primitivity", "defect":
+    its primitivity_defect}, keyed by pairs of compositions).
 
-    The flip y -> -y before regularizing makes the word-level conditions
-    match the mould-side characterizations (the senary relation on the associated
-    moulds and the alternility of their swaps); without it the two sides
-    of the dictionary disagree by a sign on every odd depth."""
+    star_regularize regularizes f(x, -y), not f: the flip y -> -y makes the
+    word-level conditions match the mould-side characterizations (the
+    senary relation on the associated moulds and the alternility of their
+    swaps); without it the two sides of the dictionary disagree by a sign
+    on every odd depth.  The flip costs no pass of its own, because its sign
+    cancels against that of the projection to y-words."""
     _check_xy(f, "dmr_witness")
     _check_kv_input("dmr_witness", w)
     if f.is_zero():
@@ -311,7 +294,7 @@ def dmr_witness(f, w):
         return bad
     if c := coefficient(f, ("x", "y")):
         return {"stage": "c_xy", "value": c}
-    defect = primitivity_defect(star_regularize(scale_letter(f, "y", -1)))
+    defect = primitivity_defect(star_regularize(f))
     return {"stage": "primitivity", "defect": defect} if defect else None
 
 
@@ -329,17 +312,14 @@ def _check_weight(w):
 
 def dmr_basis(w):
     """Basis of the weight-w double shuffle component, by exact nullspace
-    of {c_xy = 0, primitivity of the flipped star regularization} over the
-    Lyndon coordinates of L_w."""
+    of {c_xy = 0, primitivity of star_regularize} over the Lyndon
+    coordinates of L_w."""
     _check_weight(w)
     words = lyndon_words(w, XY)
     brackets = lyndon_basis(w, XY)
     c_xy = [{("x", "y"): coefficient(b, ("x", "y"))} for b in brackets]
     memo = {}  # word coproducts, shared by the brackets of this solve
-    defects = [
-        primitivity_defect(star_regularize(scale_letter(b, "y", -1)), memo)
-        for b in brackets
-    ]
+    defects = [primitivity_defect(star_regularize(b), memo) for b in brackets]
     vectors = nullspace(RatMatrix(len(brackets), c_xy, defects))
     return SubspaceBasis(w, words, vectors)
 

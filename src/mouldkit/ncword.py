@@ -1,7 +1,8 @@
 # Noncommutative words and polynomials over a declared alphabet, free Lie
 # machinery (Lyndon bases, the Lie test by reduction against them, Lie
-# polynomials from Lyndon coordinates), the backwards-writing operator, the
-# last-letter decomposition, and traces as least rotations.
+# polynomials from Lyndon coordinates), the x-runs of a word, the
+# backwards-writing operator, the last-letter decomposition, and traces as
+# least rotations.
 #
 # Words are plain tuples of alphabet symbols, and a word weighs its length.
 # An NCPoly is a dict from word to nonzero Fraction plus the alphabet it lives
@@ -9,8 +10,7 @@
 # rotations).  A cyclic word is stored as its least rotation, so a trace is an
 # NCPoly too.
 #
-# The Lie side works over ("x", "y").  The letters "y1", "y2", ... are only
-# the output alphabet of liealg.pi_Y; they carry no weight.
+# The Lie side works over ("x", "y").
 
 from fractions import Fraction
 from functools import lru_cache
@@ -292,27 +292,24 @@ def lie_witness(p):
 
 
 # ---------------------------------------------------------------------------
-# anti, palindromes, the last-letter decomposition, trace.
+# x-runs, anti, palindromes, the last-letter decomposition, trace.
+
+def _word_exponents(wd):
+    """x-run lengths around the y letters: x^{e_0} y x^{e_1} ... y x^{e_r}
+    maps to (e_0, ..., e_r)."""
+    runs = [0]
+    for s in wd:
+        if s == "x":
+            runs[-1] += 1
+        else:
+            runs.append(0)
+    return tuple(runs)
+
 
 def anti(p):
     """Backwards-writing operator: reverse every word."""
     _check_ncpoly(p, "anti")
     return NCPoly._raw(p.alphabet, {w[::-1]: c for w, c in p.terms.items()})
-
-
-def scale_letter(p, sym, c):
-    """Rescale every word by c to the power of its sym-letter count."""
-    _check_ncpoly(p, "scale_letter")
-    if sym not in p.alphabet:
-        raise AlphabetError("scale_letter: %r is not in the alphabet %r"
-                            % (sym, p.alphabet))
-    c = Fraction(c)
-    out = {}
-    for word, k in p.terms.items():
-        k = k * c ** word.count(sym)
-        if k:
-            out[word] = k
-    return NCPoly._raw(p.alphabet, out)
 
 
 def is_anti_palindromic(p, w):

@@ -80,6 +80,82 @@ def test_huge_exponent_coefficient_is_a_parse_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+# Witness coefficients are products of input coefficients, so they can pass
+# the 4,300 digits str(int) writes although every input coefficient is
+# shorter: 7...7 + 1/3...3, with 3,000 digits each, has a 6,000-digit
+# numerator.
+SEVENS, THREES = "7" * 3000, "3" * 3000
+LONG = int(SEVENS) + Fraction(1, int(THREES))
+LONG_MOULD = {"2": [{"coeff": SEVENS, "exponents": [1, 0]},
+                    {"coeff": "1/" + THREES, "exponents": [0, 1]}]}
+
+
+def spelled(q):
+    """q as fmt_rat must write it, built 1,000 digits at a time."""
+    def digits(n):
+        chunks = []
+        while n >= 10 ** 1000:
+            n, r = divmod(n, 10 ** 1000)
+            chunks.append("%01000d" % r)
+        return str(n) + "".join(reversed(chunks))
+    q = Fraction(q)
+    out = ("-" if q < 0 else "") + digits(abs(q.numerator))
+    return out if q.denominator == 1 else out + "/" + digits(q.denominator)
+
+
+def test_fmt_rat_writes_every_digit():
+    assert len(spelled(LONG)) == 6000 + 1 + 3000
+    for q in (LONG, -LONG, LONG.numerator, Fraction(1, 10 ** 9000), Fraction(-2, 7)):
+        assert fmt_rat(q) == spelled(q)
+
+
+def check_json(tmp_path, prop, obj):
+    """Exit code and the checks of `--format json check prop` on obj."""
+    path = write(tmp_path, prop + ".json", obj)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--format", "json", "check", prop, "--input", path])
+    return code, json.loads(out.getvalue())["checks"]
+
+
+def test_check_alternal_and_alternil_write_long_witnesses(tmp_path):
+    # M(x1, x2) + M(x2, x1) = LONG (x1 + x2)
+    defect = [{"coeff": spelled(LONG), "exponents": [0, 1]},
+              {"coeff": spelled(LONG), "exponents": [1, 0]}]
+    code, checks = check_json(tmp_path, "alternal", LONG_MOULD)
+    assert code == 1
+    assert checks[0]["witness"] == {"p": 1, "q": 1, "defect": defect}
+    code, checks = check_json(tmp_path, "alternil", LONG_MOULD)
+    assert code == 1
+    assert checks[0]["witness"] == {"splits": [{"p": 1, "q": 1, "defect": defect}]}
+
+
+def test_check_senary_writes_long_witnesses(tmp_path):
+    code, checks = check_json(tmp_path, "senary", LONG_MOULD)
+    assert code == 1
+    assert [c["status"] for c in checks] == ["pass", "fail", "fail"]
+    assert checks[1]["witness"] == {"r": 2, "defect": [
+        {"coeff": spelled(LONG), "exponents": [0, 1]},
+        {"coeff": spelled(2 * int(SEVENS) - Fraction(1, int(THREES))), "exponents": [1, 0]},
+    ]}
+    assert checks[2]["witness"] == {"r": 3, "defect": [
+        {"coeff": spelled(LONG), "exponents": [0, 0, 0]},
+    ]}
+
+
+def test_check_dmr_writes_long_witnesses(tmp_path):
+    L5 = lyndon_basis(5, XY)
+    f = int(SEVENS) * L5[0] + Fraction(1, int(THREES)) * L5[1]
+    code, checks = check_json(tmp_path, "dmr", poly_to_json(f))
+    assert code == 1
+    assert checks[0]["witness"] == {"stage": "primitivity", "defect_entries": [
+        {"left": "y1", "right": "y1y1y1y1", "coeff": SEVENS},
+        {"left": "y1", "right": "y2y2", "coeff": "-2/" + THREES},
+        {"left": "y1", "right": "y3y1", "coeff": "-1/" + THREES},
+        {"left": "y1", "right": "y4", "coeff": spelled(LONG)},
+    ]}
+
+
 def test_poly_round_trip():
     p = 3 * NCPoly.from_word(XY, ("x", "y")) - Fraction(1, 2) * Y
     assert poly_from_json(poly_to_json(p)) == p
@@ -530,6 +606,9 @@ CHECK_CASES = {
     "dmr-fail-lie": ("dmr", [{"coeff": "1", "word": "xxy"}]),
     "dmr-fail-c_xy": ("dmr", FXY),
     "dmr-fail-primitivity": ("dmr", poly_to_json(L5[0])),
+    # the bracket of x^9 y^2: its first defect entry is y1|y10, which sorts
+    # before y1|y2 only as letter strings
+    "dmr-fail-primitivity-y10": ("dmr", poly_to_json(lyndon_basis(11, XY)[1])),
 }
 PINNED_REPORTS = Path(__file__).with_name("data") / "check_reports.json"
 

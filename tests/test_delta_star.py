@@ -1,10 +1,12 @@
 """Differential tests for the dmr row build of liealg.py.
 
 delta_star counts each word's coproduct in integers, built from the
-coproduct of the word's prefix, and pi_Y and star_regularize build one
-dict.  The references below are the Fraction implementations they
-replaced, kept verbatim; every case must agree with them exactly.  The
-input checks must hold under python -O too."""
+coproduct of the word's prefix, and star_regularize maps f straight to
+y-words, spelled as compositions (tuples of positive ints).  The references
+below are the Fraction implementations they replaced: pi_Y and
+star_regularize over the letters "y1", "y2", ..., applied after the flip
+y -> -y (scale_letter), and delta_star over int letters.  Every case must
+agree with them exactly.  The input checks must hold under python -O too."""
 
 import subprocess
 import sys
@@ -12,26 +14,29 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mouldkit import liealg
 from mouldkit.liealg import (
-    _max_word_weight,
-    _y_alphabet,
     delta_star,
     dmr_basis,
-    pi_Y,
     primitivity_defect,
     star_regularize,
 )
 from mouldkit.ncword import NCPoly, coefficient
+from test_ncword import scale_letter
 
 XY = ("x", "y")
-Y7 = tuple("y%d" % i for i in range(1, 8))
+Y7 = tuple(range(1, 8))
 
 
-# -- references: the Fraction implementations, verbatim ----------------------
+# -- references: the Fraction implementations ---------------------------------
+
+
+def _y_alphabet(p):
+    n = max(map(len, p.terms), default=0) or 1
+    return tuple("y%d" % i for i in range(1, n + 1))
 
 
 def reference_pi_Y(p):
@@ -39,8 +44,7 @@ def reference_pi_Y(p):
     (-1)^m y_{a_1+1} ... y_{a_m+1}, order preserved."""
     assert isinstance(p, NCPoly), p
     assert set(p.alphabet) <= {"x", "y"}, p.alphabet
-    n = _max_word_weight(p)
-    alphabet = _y_alphabet(n)
+    alphabet = _y_alphabet(p)
     out = NCPoly.zero(alphabet)
     for wd, c in p.terms.items():
         if wd and wd[-1] == "x":
@@ -62,10 +66,9 @@ def reference_star_regularize(p):
     """p_* = p_corr + pi_Y(p) with
     p_corr = sum_n (-1)^n / n * c_{x^{n-1} y}(p) * y_1^n."""
     assert isinstance(p, NCPoly), p
-    n = _max_word_weight(p)
-    alphabet = _y_alphabet(n)
+    alphabet = _y_alphabet(p)
     out = reference_pi_Y(p)
-    for k in range(1, n + 1):
+    for k in range(1, len(alphabet) + 1):
         c = coefficient(p, ("x",) * (k - 1) + ("y",))
         if c:
             sign = -1 if k % 2 else 1
@@ -73,6 +76,20 @@ def reference_star_regularize(p):
                 alphabet, ("y1",) * k, Fraction(sign, k) * c
             )
     return out
+
+
+def int_letters(p):
+    """Relabel the letters "y<n>" of p as the ints n."""
+    return NCPoly(
+        tuple(int(a[1:]) for a in p.alphabet),
+        {tuple(int(a[1:]) for a in wd): c for wd, c in p.terms.items()},
+    )
+
+
+def reference_dmr_regularize(f):
+    """The star regularization of f(x, -y), by the three passes it took
+    before: flip y, project to y-words, regularize; int letters."""
+    return int_letters(reference_star_regularize(scale_letter(f, "y", -1)))
 
 
 def reference_delta_star(p):
@@ -83,14 +100,13 @@ def reference_delta_star(p):
     out = {}
     for wd, c in p.terms.items():
         pairs = {((), ()): Fraction(1)}
-        for s in wd:
-            assert s[0] == "y" and s[1:].isdigit(), s
-            n = int(s[1:])
+        for n in wd:
+            assert type(n) is int and n >= 1, n
             grown = {}
             for (left, right), cc in pairs.items():
                 for i in range(n + 1):
-                    nl = left + ("y%d" % i,) if i else left
-                    nr = right + ("y%d" % (n - i),) if n - i else right
+                    nl = left + (i,) if i else left
+                    nr = right + (n - i,) if n - i else right
                     key = (nl, nr)
                     grown[key] = grown.get(key, Fraction(0)) + cc
             pairs = grown
@@ -116,7 +132,7 @@ def _y_word(parts):
     for n in parts:
         if weight + n > 7:
             break
-        word.append("y%d" % n)
+        word.append(n)
         weight += n
     return tuple(word)
 
@@ -158,12 +174,12 @@ def test_shared_memo_changes_nothing(polys):
 
 @settings(deadline=None, max_examples=200)
 @given(xy_polys)
+@example(NCPoly(XY, {(): 3, ("y",): 2, ("x", "y"): -1, ("x", "x", "x", "x", "x", "x", "y"): 5,
+                     ("y", "x"): 1}))
 def test_pi_y_and_star_regularize_match_fraction_reference(p):
-    got = pi_Y(p)
-    want = reference_pi_Y(p)
-    assert got == want and list(got.terms) == list(want.terms)
+    # words of length up to 7, the empty word (a constant term) included
     got = star_regularize(p)
-    want = reference_star_regularize(p)
+    want = reference_dmr_regularize(p)
     assert got == want and list(got.terms) == list(want.terms)
 
 
@@ -191,20 +207,25 @@ def test_dmr_basis_memo_is_per_solve(monkeypatch):
 
 def test_delta_star_rejects_bad_input():
     with pytest.raises(TypeError):
-        delta_star({("y1",): 1})
+        delta_star({(1,): 1})
     with pytest.raises(ValueError):
         delta_star(NCPoly.from_word(XY, ("x", "y")))
     with pytest.raises(ValueError):
-        delta_star(NCPoly.from_word(("y",), ("y",)))
+        delta_star(NCPoly.from_word(("y1",), ("y1",)))
+    for letter in (0, -1, True, 1.0):
+        with pytest.raises(ValueError, match="int letters"):
+            delta_star(NCPoly.from_word((letter,), (letter,)))
 
 
-def test_pi_y_rejects_bad_input():
+def test_star_regularize_rejects_bad_input():
     with pytest.raises(TypeError):
-        pi_Y("xy")
+        star_regularize("xy")
     with pytest.raises(ValueError):
-        pi_Y(NCPoly.from_word(("x", "y", "z"), ("x", "y")))
+        star_regularize(NCPoly.from_word(("x", "y", "z"), ("x", "y")))
     with pytest.raises(ValueError):
         star_regularize(NCPoly.from_word(("x", "z"), ("x",)))
+    with pytest.raises(ValueError):
+        star_regularize(NCPoly.from_word((1, 2), (2,)))
 
 
 def test_primitivity_defect_rejects_bad_input():
@@ -212,17 +233,25 @@ def test_primitivity_defect_rejects_bad_input():
         primitivity_defect(None)
     with pytest.raises(TypeError):
         star_regularize(None)
+    with pytest.raises(ValueError, match="primitivity_defect"):
+        primitivity_defect(NCPoly.from_word((1, "y2"), ("y2",)))
 
 
 def test_validation_is_kept_under_optimize():
     src = Path(liealg.__file__).resolve().parents[1]
     script = (
-        "from mouldkit.liealg import delta_star, pi_Y, primitivity_defect\n"
+        "from mouldkit.liealg import delta_star, primitivity_defect, star_regularize\n"
         "from mouldkit.ncword import NCPoly\n"
-        "checks = [lambda: delta_star({('y1',): 1}),\n"
+        "checks = [lambda: delta_star({(1,): 1}),\n"
         "          lambda: delta_star(NCPoly.from_word(('x', 'y'), ('x',))),\n"
-        "          lambda: pi_Y('xy'),\n"
-        "          lambda: pi_Y(NCPoly.from_word(('x', 'z'), ('z',))),\n"
+        "          lambda: delta_star(NCPoly.from_word((0,), (0,))),\n"
+        "          lambda: delta_star(NCPoly.from_word((True,), (True,))),\n"
+        "          lambda: delta_star(NCPoly.from_word(('y1',), ('y1',))),\n"
+        "          lambda: primitivity_defect(NCPoly.from_word((1, 0), (0,))),\n"
+        "          lambda: primitivity_defect(NCPoly.from_word((True,), (True,))),\n"
+        "          lambda: primitivity_defect(NCPoly.from_word(('y1',), ('y1',))),\n"
+        "          lambda: star_regularize('xy'),\n"
+        "          lambda: star_regularize(NCPoly.from_word(('x', 'z'), ('z',))),\n"
         "          lambda: primitivity_defect([])]\n"
         "for check in checks:\n"
         "    try:\n"

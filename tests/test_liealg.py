@@ -28,7 +28,6 @@ from mouldkit.liealg import (
     kv2_check,
     krv_basis,
     krv_witness,
-    pi_Y,
     primitivity_defect,
     solve_G,
     star_regularize,
@@ -39,10 +38,10 @@ from mouldkit.ncword import (
     decompose_right,
     lie_bracket,
     lyndon_basis,
-    scale_letter,
     trace,
 )
 from mouldkit.symmetry import ari_alil_space
+from test_delta_star import reference_pi_Y as pi_Y
 
 XY = ("x", "y")
 X = NCPoly.letter(XY, "x")
@@ -367,6 +366,9 @@ def test_krv_members_and_complement():
 
 
 # --- pi_Y and star regularization ----------------------------------------
+#
+# pi_Y, the projection to y-words that star_regularize folds into its one
+# pass, is the test-side reference of test_delta_star; its pins stay here.
 
 def test_pi_y_pins():
     assert pi_Y(word("x", "y")).terms == {("y2",): Fraction(-1)}
@@ -393,52 +395,56 @@ def test_pi_y_linear_and_degenerate():
 
 
 def test_star_regularize_pins():
+    # the regularization of f(x, -y): x y -> -x y -> -y2 + 1/2 y1 y1 before
+    # the flip is undone, so f's own sign on y2 and -1/2 on y1 y1
     got = star_regularize(word("x", "y"))
     assert got.terms == {
-        ("y2",): Fraction(-1),
-        ("y1", "y1"): Fraction(1, 2),
+        (2,): Fraction(1),
+        (1, 1): Fraction(-1, 2),
     }, got.terms
+    assert got.alphabet == (1, 2)
     assert star_regularize(word("y", "x")).is_zero()
-    assert star_regularize(word("y")).terms == {("y1",): Fraction(-2)}
+    assert star_regularize(word("y")).terms == {(1,): Fraction(2)}
     assert star_regularize(word("x")).is_zero()
+    # the word x x y x y keeps its coefficient on the composition (3, 2)
+    assert star_regularize(-7 * word("x", "x", "y", "x", "y")).terms == {(3, 2): -7}
+    assert star_regularize(NCPoly.one(XY)).terms == {(): Fraction(1)}
+    assert star_regularize(NCPoly.zero(XY)).alphabet == (1,)
 
 
 # --- delta_star and primitivity ------------------------------------------
 
-def yw(*syms):
-    alphabet = tuple("y%d" % i for i in range(1, 4))
-    return NCPoly.from_word(alphabet, syms)
+def yw(*parts):
+    return NCPoly.from_word((1, 2, 3), parts)
 
 
 def test_delta_star_generator():
-    got = delta_star(yw("y2"))
+    got = delta_star(yw(2))
     assert got == {
-        (("y2",), ()): Fraction(1),
-        (("y1",), ("y1",)): Fraction(1),
-        ((), ("y2",)): Fraction(1),
+        ((2,), ()): Fraction(1),
+        ((1,), (1,)): Fraction(1),
+        ((), (2,)): Fraction(1),
     }, got
 
 
 def test_delta_star_unit_and_product():
     assert delta_star(yw()) == {((), ()): Fraction(1)}
-    got = delta_star(yw("y1", "y1"))
+    got = delta_star(yw(1, 1))
     assert got == {
-        (("y1", "y1"), ()): Fraction(1),
-        (("y1",), ("y1",)): Fraction(2),
-        ((), ("y1", "y1")): Fraction(1),
+        ((1, 1), ()): Fraction(1),
+        ((1,), (1,)): Fraction(2),
+        ((), (1, 1)): Fraction(1),
     }, got
 
 
 def test_primitivity_defect():
-    assert primitivity_defect(yw("y1")) == {}
-    assert primitivity_defect(yw("y2")) == {(("y1",), ("y1",)): Fraction(1)}
+    assert primitivity_defect(yw(1)) == {}
+    assert primitivity_defect(yw(2)) == {((1,), (1,)): Fraction(1)}
 
 
 def test_dmr3_certificate_defects():
-    good = star_regularize(scale_letter(P1 - P2, "y", -1))
-    assert primitivity_defect(good) == {}
-    bad = star_regularize(scale_letter(P1 + P2, "y", -1))
-    assert primitivity_defect(bad) != {}
+    assert primitivity_defect(star_regularize(P1 - P2)) == {}
+    assert primitivity_defect(star_regularize(P1 + P2)) != {}
 
 
 # --- dmr membership and dmr_basis -----------------------------------------

@@ -32,12 +32,22 @@ from mouldkit.ncword import (
     lyndon_bracketing,
     lyndon_combination,
     lyndon_words,
-    scale_letter,
     trace,
 )
 from mouldkit.symmetry import alternality_defect, alternility_defect
 
 XY = ("x", "y")
+
+
+def scale_letter(p, sym, c):
+    """Rescale every word by c to the power of its sym-letter count; the
+    reference for the flip y -> -y that liealg.star_regularize folds into
+    its one pass."""
+    if sym not in p.alphabet:
+        raise AlphabetError("scale_letter: %r is not in the alphabet %r"
+                            % (sym, p.alphabet))
+    c = Fraction(c)
+    return NCPoly(p.alphabet, {w: k * c ** w.count(sym) for w, k in p.terms.items()})
 
 
 def P(expr):
@@ -263,7 +273,6 @@ NCPOLY_CALLS = {
     "lie_bracket": "ncword.lie_bracket(X, 3)",
     "lie_witness": "ncword.lie_witness(3)",
     "anti": "ncword.anti(3)",
-    "scale_letter": "ncword.scale_letter(3, 'y', -1)",
     "is_anti_palindromic": "ncword.is_anti_palindromic(3, 2)",
     "decompose_right": "ncword.decompose_right(3)",
     "trace": "ncword.trace(3)",

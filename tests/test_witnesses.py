@@ -38,7 +38,6 @@ from mouldkit.ncword import (
     lie_bracket,
     lyndon_basis,
     lyndon_bracketing,
-    scale_letter,
 )
 from mouldkit.symmetry import (
     alternal_witness,
@@ -46,6 +45,7 @@ from mouldkit.symmetry import (
     ari_alil_space,
     ari_sena_pusnu_space,
 )
+from test_delta_star import reference_dmr_regularize
 from test_ncword import dsw_is_lie
 
 XY = ("x", "y")
@@ -113,8 +113,7 @@ def ref_is_dmr(f, w):
         return False
     if coefficient(f, ("x", "y")) != 0:
         return False
-    xi = star_regularize(scale_letter(f, "y", -1))
-    return not primitivity_defect(xi)
+    return not primitivity_defect(reference_dmr_regularize(f))
 
 
 def ref_alternal(mo):
@@ -166,12 +165,15 @@ def ref_dmr(p, w):
         elif c:
             witness = {"stage": "c_xy", "value": fmt_rat(c)}
         else:
-            defect = primitivity_defect(
-                star_regularize(scale_letter(p, "y", -1))
+            defect = primitivity_defect(reference_dmr_regularize(p))
+            # sorted as tuples of letter strings, as over "y1", "y2", ...
+            spelled = sorted(
+                (tuple(tuple("y%d" % n for n in u) for u in k), v)
+                for k, v in defect.items()
             )
             entries = [
-                {"left": "".join(k[0]), "right": "".join(k[1]), "coeff": fmt_rat(v)}
-                for k, v in sorted(defect.items())[:4]
+                {"left": "".join(left), "right": "".join(right), "coeff": fmt_rat(v)}
+                for (left, right), v in spelled[:4]
             ]
             witness = {"stage": "primitivity", "defect_entries": entries}
     return _check("dmr membership", ok, witness)
@@ -311,8 +313,7 @@ def test_dmr_witness_pins():
     lyn5 = L5[0]
     got = dmr_witness(lyn5, 5)
     assert got["stage"] == "primitivity"
-    xi = star_regularize(scale_letter(lyn5, "y", -1))
-    assert got["defect"] == primitivity_defect(xi) != {}
+    assert got["defect"] == primitivity_defect(star_regularize(lyn5)) != {}
 
 
 # --- one computation per check -------------------------------------------------
@@ -410,7 +411,7 @@ BAD_INPUT = [
     (ValueError, lambda: bridge.vimo(NCPoly.from_word(XY, ("x", "y")), 3)),
     (AlphabetError, lambda: NCPoly(("x", "x"), {("x",): 1})),
     (ValueError, lambda: lyndon_bracketing(("y", "x"), XY)),
-    (AlphabetError, lambda: scale_letter(P1, "z", 5)),
+    (AlphabetError, lambda: star_regularize(K3_AB)),
     (ValueError, lambda: MultiPoly.var(1, 0) ** -1),
     (ValueError, lambda: P1 ** -2),
     (ValueError, lambda: ari_alil_space(1)),
@@ -452,10 +453,10 @@ def test_bad_input_raises_under_optimize():
         "from mouldkit.cli import mould_to_json, mp_to_json, poly_to_json\n"
         "from mouldkit.kernel import (MalformedSubstitution, MultiPoly, exact_div,\n"
         "                             substitute)\n"
-        "from mouldkit.liealg import dmr_witness, krv_basis, krv_witness, solve_G\n"
+        "from mouldkit.liealg import (dmr_witness, krv_basis, krv_witness, solve_G,\n"
+        "                             star_regularize)\n"
         "from mouldkit.mould import pus_sum\n"
-        "from mouldkit.ncword import (AlphabetError, NCPoly, lyndon_bracketing,\n"
-        "                             scale_letter)\n"
+        "from mouldkit.ncword import AlphabetError, NCPoly, lyndon_bracketing\n"
         "from mouldkit.symmetry import (alternal_witness, ari_alil_space,\n"
         "                               ari_sena_pusnu_space)\n"
         "xy = NCPoly.from_word(('x', 'y'), ('x', 'y'))\n"
@@ -467,7 +468,7 @@ def test_bad_input_raises_under_optimize():
         "checks = [(ValueError, lambda: vimo(xy, 3)),\n"
         "          (AlphabetError, lambda: NCPoly(('x', 'x'), {('x',): 1})),\n"
         "          (ValueError, lambda: lyndon_bracketing(('y', 'x'), ('x', 'y'))),\n"
-        "          (AlphabetError, lambda: scale_letter(xy, 'z', 5)),\n"
+        "          (AlphabetError, lambda: star_regularize(ab)),\n"
         "          (ValueError, lambda: MultiPoly.var(1, 0) ** -1),\n"
         "          (ValueError, lambda: xy ** -2),\n"
         "          (ValueError, lambda: ari_alil_space(1)),\n"
