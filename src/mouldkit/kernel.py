@@ -21,22 +21,23 @@
 # where needed by one substitute that puts a and b in place; no long
 # division runs.
 #
-# Linear algebra (nullspace) is one kernel computation, _kernel, which
-# starts from a screen on those integer rows.  A streaming elimination mod
-# the prime p = 2^61 - 1, reading only the nonzeros of each row, picks at
-# most cols rows that are independent mod p, hence independent over Q,
-# while it keeps the null space mod p of the rows picked so far.  Every
-# unpicked row lies in their span mod p, so that is also the null space mod
-# p of all rows.  No mod-p value is ever returned unchecked.
+# Linear algebra (nullspace) is one kernel computation, _kernel: one loop
+# over the primes 2^61 - 1, 2^61 - 31, ... (decreasing), each of which
+# screens those integer rows.  A streaming elimination mod p, reading only
+# the nonzeros of each row, picks at most cols rows that are independent
+# mod p and keeps the null space mod p of the rows picked so far, which is
+# that of all rows.  It keeps that basis in RREF-kernel shape, in
+# free-column order: each vector has 1 on its own free column, 0 on the
+# other free columns and is supported on columns up to its own.  No mod-p
+# value is ever returned unchecked, and no system is ever dense.
 #
-# _kernel lifts that null space to Q without any Fraction elimination.
-# The screen keeps its basis mod p in RREF-kernel shape, in free-column
-# order: each vector has 1 on its own free column, 0 on the other free
-# columns and is supported on columns up to its own.  Every entry is
-# recovered by rational reconstruction (Wang, SYMSAC 1981) with |num|, den
-# < 2^30, the vectors are made primitive, and each is certified to have zero
-# integer dot product with every input row.  A certified basis is exact and
-# equal, bit for bit, to the one the RREF of all rows gives:
+# _kernel combines the bases of the primes with the best free columns so
+# far by CRT mod m, their product, recovers every entry by rational
+# reconstruction (Wang, SYMSAC 1981) with |num|, den <= isqrt(m // 2), which
+# is 2^30 - 1 for m = 2^61 - 1, makes the vectors primitive and certifies
+# that each has zero integer dot product with every input row.  A certified
+# basis is exact and equal, bit for bit, to the one the RREF of all rows
+# gives:
 #   - the rank over Q is at least the rank mod p, so dim ker over Q is at
 #     most dim ker mod p;
 #   - the certified vectors lie in the kernel over Q, are independent (each
@@ -49,13 +50,20 @@
 #   - a kernel vector is fixed by its entries on the free columns, so each
 #     certified vector is a multiple of the RREF's vector for its free
 #     column, and the primitive form of a line is unique.
-# If an entry does not reconstruct or the certificate fails, the exact
-# Fraction RREF runs on the picked rows, its answer is certified the same
-# way, and if that fails too (an unlucky prime) the RREF runs on all rows.
-# That RREF is the only place a system is ever dense.
+# The loop ends.  A prime is unlucky when its free columns differ from
+# Q's; then some first k columns lose rank mod p, so p divides a nonzero
+# minor: only finitely many primes are unlucky.  Rank mod p never exceeds
+# rank over Q, column prefix by prefix, so a prime has at least as many
+# free columns as Q and, with as many, an i-th free column at most Q's:
+# none beats a lucky prime ("fewer, then the lexicographically larger
+# list"), and after the first lucky prime only lucky primes combine.  A
+# lucky prime's basis is the RREF's mod p: the RREF's primitive vector for
+# free column c is nonzero mod p, so not 0 on c.  So reconstruction gives
+# the RREF's basis once m > 2 H^2, H bounding its numerators and
+# denominators, and the certificate passes.
 #
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from . import _speed as _sp
 
@@ -404,35 +412,6 @@ class RatMatrix:
         self.int_rows = int_rows
 
 
-def _rref(entries, cols):
-    """Reduced row echelon form in place; returns the pivot column list."""
-    pivots = []
-    r = 0
-    nrows = len(entries)
-    for c in range(cols):
-        piv = None
-        for i in range(r, nrows):
-            if entries[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        entries[r], entries[piv] = entries[piv], entries[r]
-        inv = 1 / entries[r][c]
-        entries[r] = [x * inv for x in entries[r]]
-        for i in range(nrows):
-            if i != r and entries[i][c]:
-                f = entries[i][c]
-                row_i = entries[i]
-                row_r = entries[r]
-                entries[i] = [a - f * b for a, b in zip(row_i, row_r)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
 def _primitive(vec):
     """Scale a rational vector to primitive integers, first nonzero positive."""
     denom_lcm = 1
@@ -451,16 +430,46 @@ def _primitive(vec):
     return tuple(Fraction(k) for k in ints)
 
 
-_P = (1 << 61) - 1  # the screening prime, a Mersenne prime
+def _is_prime(n):
+    """Miller-Rabin on the first twelve prime bases: exact for n < 3.1e23,
+    where the least strong pseudoprime to all of them lies (Sorenson and
+    Webster, Math. Comp. 86, 2017)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
-def _independent_rows(int_rows, cols):
-    """The indices of the rows that are independent mod _P of the rows
-    picked before them, at most cols of them, in input order; and a basis
-    of the null space mod _P of all rows, in RREF-kernel shape.
+def _primes():
+    """The screening primes: 2^61 - 1, then the primes below it, decreasing."""
+    n = (1 << 61) - 1  # a Mersenne prime
+    yield n
+    while True:
+        n -= 2
+        if _is_prime(n):
+            yield n
 
-    kernel spans the null space mod _P of the rows picked so far, so a row
-    lies in their span mod _P iff it is orthogonal to every kernel vector.
+
+def _independent_rows(int_rows, cols, p):
+    """A basis of the null space mod the prime p of the rows, in RREF-kernel
+    shape, found by picking at most cols rows that are independent mod p of
+    the rows picked before them.
+
+    kernel spans the null space mod p of the rows picked so far, so a row
+    lies in their span mod p iff it is orthogonal to every kernel vector.
     Picking a row removes the first kernel vector v with a nonzero dot
     product and projects the later ones onto the row's orthogonal
     complement by subtracting multiples of v.  kernel starts as the unit
@@ -469,51 +478,48 @@ def _independent_rows(int_rows, cols):
     to its own: v is 0 on every free column but its own, which stops being
     free, and is supported before every later vector's column."""
     kernel = [[int(i == j) for j in range(cols)] for i in range(cols)]
-    picked = []
-    for i, row in enumerate(int_rows):
+    for row in int_rows:
         if not kernel:
             break
-        nonzero = [(j, x % _P) for j, x in row.items()]
-        dots = [sum(r * v[j] for j, r in nonzero) % _P for v in kernel]
+        nonzero = [(j, x % p) for j, x in row.items()]
+        dots = [sum(r * v[j] for j, r in nonzero) % p for v in kernel]
         t = next((t for t, d in enumerate(dots) if d), None)
         if t is None:
             continue
-        picked.append(i)
         v_t = kernel.pop(t)
-        inv = pow(dots.pop(t), -1, _P)
+        inv = pow(dots.pop(t), -1, p)
         for s, d in enumerate(dots):
             if d:
-                f = d * inv % _P
-                kernel[s] = [(a - f * b) % _P for a, b in zip(kernel[s], v_t)]
-    return picked, kernel
+                f = d * inv % p
+                kernel[s] = [(a - f * b) % p for a, b in zip(kernel[s], v_t)]
+    return kernel
 
 
-_BOUND = 1 << 30  # reconstruction bound; 2 * (_BOUND - 1)**2 < _P
-
-
-def _rational(u):
-    """The fraction n/d with |n|, d < _BOUND and n = u*d mod _P, or None.
+def _rational(u, m):
+    """The fraction n/d with |n|, d <= isqrt(m // 2) and n = u*d mod m, or
+    None.
 
     Wang's rational reconstruction: run the extended Euclidean algorithm on
-    (_P, u), keeping r = t*u mod _P, until the remainder drops below the
-    bound.  Such a fraction is unique when it exists."""
-    r0, r1, t0, t1 = _P, u, 0, 1
-    while r1 >= _BOUND:
+    (m, u), keeping r = t*u mod m, until the remainder drops to the bound.
+    Such a fraction is unique when it exists, since 2 * bound**2 < m."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    if abs(t1) >= _BOUND:
+    if abs(t1) > bound:
         return None
     return Fraction(r1, t1)
 
 
-def _lifted_kernel(vecs):
-    """The primitive rational basis that a null space mod _P in RREF-kernel
+def _lifted_kernel(vecs, m):
+    """The primitive rational basis that a null space mod m in RREF-kernel
     shape proposes, one vector per free column in column order (see the
     header), or None if an entry does not reconstruct."""
     basis = []
     for v in vecs:
-        vec = [_rational(x) for x in v]
+        vec = [_rational(x, m) for x in v]
         if any(x is None for x in vec):
             return None
         basis.append(_primitive(vec))
@@ -529,43 +535,28 @@ def _annihilates(vectors, int_rows):
     return True
 
 
-def _rref_kernel(int_rows, cols):
-    """The kernel basis the RREF of the rows gives: one primitive vector per
-    free column, in column order.  The only dense copy: Fraction entries,
-    since 1 / x on ints would be a float."""
-    entries = [[Fraction(0)] * cols for _ in int_rows]
-    for dense, row in zip(entries, int_rows):
-        for j, x in row.items():
-            dense[j] = Fraction(x)
-    pivots = _rref(entries, cols)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -entries[r][fc]
-        basis.append(_primitive(vec))
-    return basis
-
-
 def _kernel(int_rows, cols):
     """The RREF's kernel basis of the rows ({column: int} dicts, cols wide).
 
-    Tried in turn: the lifted null space mod _P, the RREF of the picked rows
-    and the RREF of all rows.  The picked rows' kernel holds that of all
-    rows, so if its basis annihilates every row the kernels, hence the row
-    spaces and their unique RREFs, are equal."""
-    picked, kernel = _independent_rows(int_rows, cols)
-    basis = _lifted_kernel(kernel)
-    if basis is not None and _annihilates(basis, int_rows):
-        return basis
-    basis = _rref_kernel([int_rows[i] for i in picked], cols)
-    if _annihilates(basis, int_rows):
-        return basis
-    return _rref_kernel(int_rows, cols)
+    A prime with better free columns (fewer, then the lexicographically
+    larger list) restarts the CRT accumulator, one with equal free columns
+    joins it, a worse one is skipped (see the header)."""
+    best = None
+    for p in _primes():
+        vecs = _independent_rows(int_rows, cols, p)
+        key = (-len(vecs), [max(j for j, x in enumerate(v) if x) for v in vecs])
+        if best is None or key > best:
+            best, residues, m = key, vecs, p
+        elif key == best:
+            f = pow(m, -1, p)
+            residues = [[a + m * ((b - a) * f % p) for a, b in zip(u, v)]
+                        for u, v in zip(residues, vecs)]
+            m *= p
+        else:
+            continue
+        basis = _lifted_kernel(residues, m)
+        if basis is not None and _annihilates(basis, int_rows):
+            return basis
 
 
 def _check_matrix(mat):

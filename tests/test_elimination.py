@@ -1,20 +1,22 @@
 """Differential tests for the certified kernel path of kernel.py.
 
-nullspace screens rows mod p = 2^61 - 1, lifts the null space mod p by
-rational reconstruction or else runs the exact RREF on the rows it picks,
-and certifies the answer against every row.  solve_linear below is one
-nullspace call on the augmented rows [A | b]; its systems reach the
-certificate through a right-hand side.  The references are the full-RREF
-implementation the kernel replaced, kept verbatim, and column_rows, the
-dense row builder that RatMatrix replaced; every case must agree with them
-exactly, including the cases built so that the prime is unlucky and the
-certificate has to fail."""
+nullspace screens the rows mod the primes 2^61 - 1, 2^61 - 31, ... in
+turn, combines the null spaces of the primes with the best free columns
+by CRT, lifts them by rational reconstruction and returns the lift once it
+is certified against every row.  solve_linear below is one nullspace call
+on the augmented rows [A | b]; its systems reach the certificate through a
+right-hand side.  The references are the full-RREF implementation the
+kernel replaced, kept verbatim, and column_rows, the dense row builder that
+RatMatrix replaced; every case must agree with them exactly, including the
+cases built so that a prime is unlucky or the answer needs more than one
+prime, and each such case pins how many primes it screens."""
 
+import itertools
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from mouldkit.liealg import krv_basis, solve_G
 from mouldkit.ncword import NCPoly, lie_bracket, lyndon_basis
 
 P = (1 << 61) - 1
+P2, P3 = P - 30, P - 44  # the next primes below P
 DENOMINATORS = (1, 1, 1, 2, 3, 7, P, 2 * P)
 
 
@@ -207,14 +210,15 @@ def test_screen_null_space_is_in_rref_kernel_shape(seed):
     for _ in range(15):
         rows, cols = random_matrix(rng)
         int_rows = dense(rows, cols).int_rows
-        picked, vecs = kernel._independent_rows(int_rows, cols)
-        assert len(picked) + len(vecs) == cols
-        free = [max(j for j, x in enumerate(v) if x) for v in vecs]
-        assert free == sorted(set(free))
-        for v, c in zip(vecs, free):
-            assert [v[f] for f in free] == [int(f == c) for f in free]
-        for row in int_rows:
-            assert all(sum(x * v[j] for j, x in row.items()) % P == 0 for v in vecs)
+        for p in (P, P2, 7):
+            vecs = kernel._independent_rows(int_rows, cols, p)
+            assert len(vecs) >= len(reference_nullspace(rows, cols))
+            free = [max(j for j, x in enumerate(v) if x) for v in vecs]
+            assert free == sorted(set(free))
+            for v, c in zip(vecs, free):
+                assert [v[f] for f in free] == [int(f == c) for f in free]
+            for row in int_rows:
+                assert all(sum(x * v[j] for j, x in row.items()) % p == 0 for v in vecs)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -275,28 +279,28 @@ def test_rows_are_the_integer_scaled_column_rows(system):
     assert nullspace(mat) == reference_nullspace(dense_rows, cols)
 
 
-# -- the screen, the certificate and the fallback ---------------------------
+# -- the screen, the certificate and the primes -----------------------------
 
 
 @pytest.fixture
-def rref_calls(monkeypatch):
-    """Row counts of the matrices handed to kernel._rref, one per call."""
-    calls = []
-    real = kernel._rref
+def primes(monkeypatch):
+    """The primes handed to kernel._independent_rows, one per screen."""
+    screened = []
+    real = kernel._independent_rows
 
-    def counting(entries, cols):
-        calls.append(len(entries))
-        return real(entries, cols)
+    def recording(int_rows, cols, p):
+        screened.append(p)
+        return real(int_rows, cols, p)
 
-    monkeypatch.setattr(kernel, "_rref", counting)
-    return calls
+    monkeypatch.setattr(kernel, "_independent_rows", recording)
+    return screened
 
 
-def test_tall_matrix_is_solved_on_at_most_cols_rows(rref_calls):
+def test_tall_matrix_is_solved_on_at_most_cols_rows(primes):
     rng = random.Random(5)
     rows = _random_rows(rng, 40, 6)
     assert nullspace(dense(rows, 6)) == reference_nullspace(rows, 6)
-    assert rref_calls == []
+    assert primes == [P]
 
 
 @pytest.mark.parametrize(
@@ -304,21 +308,63 @@ def test_tall_matrix_is_solved_on_at_most_cols_rows(rref_calls):
     [[[1, -(2**40 + 1)]], [[2**31, 1]], [[3, 0, -(2**40 + 1)], [0, 1, 5]]],
     ids=["numerator-2^40", "denominator-2^31", "numerator-2^40-of-3"],
 )
-def test_entry_beyond_reconstruction_bound_falls_back_to_rref(rows, rref_calls):
+def test_entry_beyond_one_prime_bound_takes_two_primes(rows, primes):
     # The kernel mod p is right, but an entry of its RREF-kernel form has a
-    # numerator or denominator of 2^30 or more, so it does not reconstruct;
-    # the RREF of the picked rows gives the answer, and it certifies.
+    # numerator or denominator of 2^30 or more, so it does not reconstruct
+    # mod p; mod the product of two primes it does, and it certifies.
     m = dense(rows, len(rows[0]))
     assert nullspace(m) == reference_nullspace(rows, m.cols)
-    assert rref_calls == [m.rows] == [len(rows)]
+    assert primes == [P, P2]
+
+
+def test_entry_beyond_two_prime_bound_takes_three_primes(primes):
+    rows = [[1, -(2**70 + 1)]]
+    assert nullspace(dense(rows, 2)) == reference_nullspace(rows, 2) == [(2**70 + 1, 1)]
+    assert primes == [P, P2, P3]
 
 
 def test_rational_reconstruction_pins():
-    for q in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(2**30 - 1, 2**30 - 3)):
-        u = q.numerator * pow(q.denominator, -1, P) % P
-        assert kernel._rational(u) == q
-    assert kernel._rational(2**30) is None
-    assert kernel._rational(pow(2**30, -1, P)) is None
+    assert isqrt(P // 2) == 2**30 - 1  # one prime: the bound is 2^30 - 1
+    for m in (P, P * P2):
+        b = isqrt(m // 2)
+        for q in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(b, b - 2),
+                  Fraction(-b, b - 1)):
+            u = q.numerator * pow(q.denominator, -1, m) % m
+            assert kernel._rational(u, m) == q
+        assert kernel._rational(b + 1, m) is None
+        assert kernel._rational(pow(b + 1, -1, m), m) is None
+
+
+def test_primes_are_2_61_minus_1_then_the_primes_below_it():
+    first = list(itertools.islice(kernel._primes(), 50))
+    # every prime in [P - 282, P], P = 2^61 - 1
+    assert first[:6] == [P, P2, P3, P - 228, P - 258, P - 282]
+    assert all(a > b for a, b in zip(first, first[1:]))
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    assert [n for n in range(-3, 5000) if kernel._is_prime(n)] == [
+        n for n in range(-3, 5000) if trial(n)]
+    # strong pseudoprimes to the bases 2..7 and 2..23
+    assert not kernel._is_prime(3215031751)
+    assert not kernel._is_prime(3825123056546413051)
+    assert kernel._is_prime(2**31 - 1) and kernel._is_prime(P)
+
+
+@pytest.mark.parametrize("order", ["P-q-P2", "q-P-P2"])
+def test_prime_with_other_free_columns_is_skipped(order, primes, monkeypatch):
+    # Mod q the row is (0, 2^40 + 1), whose free column is 0, not Q's 1:
+    # after P, q is worse and skipped; before P, P replaces it.  Either way
+    # P and P2 alone give the answer, which needs two primes.
+    q = 1000003
+    sequence = {"P-q-P2": [P, q, P2], "q-P-P2": [q, P, P2]}[order]
+    monkeypatch.setattr(kernel, "_primes", lambda: iter(sequence))
+    rows = [[q, 2**40 + 1]]
+    assert nullspace(dense(rows, 2)) == reference_nullspace(rows, 2)
+    assert primes == sequence
 
 
 @pytest.mark.parametrize(
@@ -332,22 +378,47 @@ def test_rational_reconstruction_pins():
     ],
     ids=["p", "2p-row", "pair-p-e1", "pair-p-e1-of-3", "half-pair"],
 )
-def test_unlucky_prime_falls_back_to_full_rref(rows, rref_calls):
+def test_unlucky_prime_is_replaced_by_the_next(rows, primes):
     m = dense(rows, len(rows[0]))
     assert nullspace(m) == reference_nullspace(rows, m.cols)
-    assert len(rref_calls) == 2
-    assert rref_calls[1] == m.rows == len(rows)
+    assert primes == [P, P2]
 
 
-def test_inconsistency_only_in_unpicked_rows(rref_calls):
+def _big_matrix(rng):
+    """Rows with a nonzero kernel and entries of up to 200 bits: fewer rows
+    than columns, or tall rows of rank below cols."""
+    def big():
+        return Fraction(rng.choice((0, 1, -1, 1, -1)) * rng.getrandbits(rng.randint(1, 200)))
+
+    cols = rng.randint(2, 6)
+    if rng.random() < 0.5:
+        return [[big() for _ in range(cols)] for _ in range(rng.randint(1, cols - 1))], cols
+    inner = rng.randint(1, cols - 1)
+    combos = [[Fraction(rng.randint(-3, 3)) for _ in range(inner)]
+              for _ in range(rng.randint(inner, 2 * cols))]
+    return _product(combos, [[big() for _ in range(cols)] for _ in range(inner)], cols), cols
+
+
+def test_nullspace_of_200_bit_systems_matches_full_rref(primes):
+    rng = random.Random(2026)
+    most = 0
+    for _ in range(150):
+        rows, cols = _big_matrix(rng)
+        primes.clear()
+        assert nullspace(dense(rows, cols)) == reference_nullspace(rows, cols)
+        most = max(most, len(primes))
+    assert most > 20  # some systems need many primes
+
+
+def test_inconsistency_only_in_unpicked_rows(primes):
     # Mod p the last augmented row repeats the first, so the screen skips
     # it; over Q it contradicts the first and the certificate must notice.
     rhs = [Fraction(0), Fraction(P)]
     assert isinstance(solve_linear([[1], [1]], 1, rhs), NoSolution)
-    assert len(rref_calls) == 2
+    assert primes == [P, P2]
 
 
-def test_tall_inconsistency_only_in_unpicked_rows(rref_calls):
+def test_tall_inconsistency_only_in_unpicked_rows(primes):
     rng = random.Random(11)
     cols = 4
     top = [[Fraction(rng.randint(-5, 5)) for _ in range(cols)] for _ in range(cols)]
@@ -359,55 +430,55 @@ def test_tall_inconsistency_only_in_unpicked_rows(rref_calls):
     x0 = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(cols)]
     rhs = [sum((a * b for a, b in zip(row, x0)), Fraction(0)) for row in rows]
     assert solve_linear(rows, cols, rhs) == reference_solve_linear(rows, cols, rhs) == x0
-    assert rref_calls == []
+    assert primes == [P]
     rhs[-1] += P
     want = reference_solve_linear(rows, cols, rhs)
     assert isinstance(want, NoSolution)
     assert _same_solution(solve_linear(rows, cols, rhs), want)
-    assert rref_calls == [cols, len(rows)]
+    assert primes == [P, P, P2]
 
 
-def test_inconsistency_in_picked_rows_needs_no_fallback(rref_calls):
+def test_inconsistency_in_picked_rows_needs_no_fallback(primes):
     # The picked rows already have full rank, so the kernel is empty mod p
-    # and, trivially certified, over Q: no RREF runs.
+    # and, trivially certified, over Q: one prime suffices.
     rhs = [Fraction(0), Fraction(1), Fraction(0)]
     assert isinstance(solve_linear([[1], [1], [2]], 1, rhs), NoSolution)
-    assert rref_calls == []
+    assert primes == [P]
 
 
-def test_unlucky_rows_for_a_free_column_reach_the_full_rref(rref_calls):
-    # The screen keeps only the first row.  Its solution with free
+def test_unlucky_rows_for_a_free_column_need_a_second_prime(primes):
+    # The screen mod P keeps only the first row.  Its solution with free
     # variables 0 also satisfies the second, but the certificate checks the
     # whole kernel of [A | b], and the vector of free column 1 is killed by
-    # the second row only mod p; so both the lift and the RREF of the
-    # picked row fail, and the full RREF gives the answer.
+    # the second row only mod P; so the lift mod P fails, and the next
+    # prime, which keeps both rows, gives the answer.
     rows = [[1, 0], [1, P]]
     rhs = [Fraction(1), Fraction(1)]
     assert solve_linear(rows, 2, rhs) == reference_solve_linear(rows, 2, rhs) == [1, 0]
-    assert rref_calls == [1, 2]
+    assert primes == [P, P2]
 
 
-def test_solution_beyond_reconstruction_bound_falls_back_to_rref(rref_calls):
+def test_solution_beyond_one_prime_bound_takes_two_primes(primes):
     # x = 1/2^31 has a denominator of 2^31, so the lifted kernel of [A | b]
-    # does not reconstruct; the RREF of the picked row gives it and certifies.
+    # does not reconstruct mod P; mod P * P2 it does, and it certifies.
     rhs = [Fraction(1)]
     assert (solve_linear([[2**31]], 1, rhs) == reference_solve_linear([[2**31]], 1, rhs)
             == [Fraction(1, 2**31)])
-    assert rref_calls == [1]
+    assert primes == [P, P2]
 
 
-def test_kv1_solve_runs_no_rref(rref_calls):
+def test_kv1_solve_runs_no_rref(primes):
     # solve_G reads G off the words of [F, y] by inverting ad(x) and then
     # certifies it exactly, with no linear solve, both for a krv element
     # (G exists) and for a Lie element outside krv
     XY = ("x", "y")
     x, y = NCPoly.letter(XY, "x"), NCPoly.letter(XY, "y")
     (F,) = krv_basis(7).elements()
-    rref_calls.clear()
+    primes.clear()
     G = solve_G(F, 7)
     assert (lie_bracket(x, G) + lie_bracket(y, F)).is_zero()
     assert isinstance(solve_G(lyndon_basis(7, XY)[1], 7), NoSolution)
-    assert rref_calls == []
+    assert primes == []
 
 
 # -- input validation survives python -O ------------------------------------
