@@ -181,7 +181,7 @@ def lie_bracket(a, b):
 # Lyndon words and the standard bracketing basis of the free Lie algebra.
 
 def _check_lyndon_args(name, n, alphabet):
-    if not (isinstance(n, int) and n >= 1):
+    if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
         raise ValueError("%s needs a length n >= 1, got %r" % (name, n))
     if not alphabet:
         raise AlphabetError("%s needs a nonempty alphabet" % name)
@@ -211,36 +211,21 @@ def lyndon_words(n, alphabet):
     return out
 
 
-def _is_lyndon(word, index):
-    n = len(word)
-    if n == 0:
-        return False
-    key = tuple(index[a] for a in word)
-    return all(key < key[i:] + key[:i] for i in range(1, n))
-
-
-def lyndon_bracketing(word, alphabet):
-    """Standard bracketing of a Lyndon word: split at the longest proper
-    Lyndon suffix and bracket the two halves."""
-    alphabet = tuple(alphabet)
-    word = tuple(word)
-    index = {a: i for i, a in enumerate(alphabet)}
-    if not _is_lyndon(word, index):
-        raise ValueError("lyndon_bracketing needs a Lyndon word, got %r" % (word,))
-    if len(word) == 1:
-        return NCPoly.letter(alphabet, word[0])
-    for i in range(1, len(word)):
-        if _is_lyndon(word[i:], index):
-            left = lyndon_bracketing(word[:i], alphabet)
-            right = lyndon_bracketing(word[i:], alphabet)
-            return lie_bracket(left, right)
-    raise AssertionError("no Lyndon factorization for %r" % (word,))
-
-
 @lru_cache(maxsize=16)
-def _lyndon_brackets(w, alphabet):
-    # one tuple per (weight, alphabet); callers only read the NCPolys
-    return tuple(lyndon_bracketing(word, alphabet) for word in lyndon_words(w, alphabet))
+def _lyndon_table(w, alphabet):
+    """{Lyndon word of length w: its standard bracket}, in lyndon_words
+    order.  The standard factorization splits a Lyndon word at its longest
+    proper Lyndon suffix (Reutenauer, Free Lie Algebras, 5.1), i.e. at the
+    smallest i with word[i:] in the table of length w - i, and brackets the
+    two halves' entries: one lie_bracket per word.  Callers only read it."""
+    if w == 1:
+        return {(a,): NCPoly.letter(alphabet, a) for a in alphabet}
+    table = {}
+    for word in lyndon_words(w, alphabet):
+        i = next(i for i in range(1, w) if word[i:] in _lyndon_table(w - i, alphabet))
+        table[word] = lie_bracket(_lyndon_table(i, alphabet)[word[:i]],
+                                  _lyndon_table(w - i, alphabet)[word[i:]])
+    return table
 
 
 def lyndon_basis(w, alphabet):
@@ -249,22 +234,24 @@ def lyndon_basis(w, alphabet):
     and shared between calls, each of which gets a list of its own."""
     alphabet = tuple(alphabet)
     _check_lyndon_args("lyndon_basis", w, alphabet)
-    return list(_lyndon_brackets(w, alphabet))
+    return list(_lyndon_table(w, alphabet).values())
 
 
 def lyndon_combination(coords, w, alphabet):
     """The Lie polynomial sum_i coords[i] * lyndon_basis(w, alphabet)[i],
     summed into one term dict."""
-    brackets = lyndon_basis(w, alphabet)
-    if len(coords) != len(brackets):
+    alphabet = tuple(alphabet)
+    _check_lyndon_args("lyndon_combination", w, alphabet)
+    table = _lyndon_table(w, alphabet)
+    if len(coords) != len(table):
         raise ValueError("lyndon_combination needs %d coordinates at weight %d, got %d"
-                         % (len(brackets), w, len(coords)))
+                         % (len(table), w, len(coords)))
     terms = {}
-    for c, b in zip(coords, brackets):
+    for c, b in zip(coords, table.values()):
         if c:
             for wd, e in b.terms.items():
                 terms[wd] = terms.get(wd, 0) + c * e
-    return NCPoly._raw(tuple(alphabet), {wd: v for wd, v in terms.items() if v})
+    return NCPoly._raw(alphabet, {wd: v for wd, v in terms.items() if v})
 
 
 def lie_witness(p):
@@ -282,7 +269,7 @@ def lie_witness(p):
     if w == 0:
         raise NotHomogeneous("constant polynomial has weight 0")
     rest = dict(p.terms)
-    for word, b in zip(lyndon_words(w, p.alphabet), lyndon_basis(w, p.alphabet)):
+    for word, b in _lyndon_table(w, p.alphabet).items():
         c = rest.get(word)
         if c:
             for k, e in b.terms.items():

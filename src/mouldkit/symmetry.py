@@ -113,20 +113,25 @@ def alternil_up_to_constant(mo):
     Adding a constant C_m to depth m contributes binom(m, p) * C_m to each
     (p,q) sum with p + q = m (its contraction terms cancel pairwise), so the
     system decouples per depth: the defect must be constant and the constants
-    must agree across the splits of m.  Returns an AlternilityCertificate or
-    NoSolution carrying the irreducible (p, q, defect) witnesses, or the
-    reason alone when M^0 is nonzero."""
+    must agree across the splits of m.  Only the splits p <= q are summed:
+    the (q, p) sum is the (p, q) sum with its two blocks of variables
+    swapped.  Returns an AlternilityCertificate or NoSolution carrying the
+    irreducible (p, q, defect) witnesses, or the reason alone when M^0 is
+    nonzero."""
     _check_mould(mo, "alternil_up_to_constant")
     if not mo.components[0].is_zero():
         return NoSolution("alternility needs a vanishing constant term")
     consts = [Fraction(0), Fraction(0)]
     residual = []
     for m in range(2, mo.depth + 1):
-        defects = [(p, m - p, alternility_defect(mo, p, m - p))
-                   for p in range(1, m)]
-        p0, _, d0 = defects[0]
-        c_m = -d0.coefficient((0,) * m) / comb(m, p0)
-        for p, q, d in defects:
+        half = {p: alternility_defect(mo, p, m - p) for p in range(1, m // 2 + 1)}
+        c_m = -half[1].coefficient((0,) * m) / m
+        for p in range(1, m):
+            q = m - p
+            if p <= q:
+                d = half[p]
+            else:
+                d = embed_vars(half[q], list(range(p, m)) + list(range(p)), m)
             leftover = d + MultiPoly.const(m, comb(m, p) * c_m)
             if not leftover.is_zero():
                 residual.append((p, q, leftover))

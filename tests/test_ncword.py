@@ -29,7 +29,6 @@ from mouldkit.ncword import (
     lie_bracket,
     lie_witness,
     lyndon_basis,
-    lyndon_bracketing,
     lyndon_combination,
     lyndon_words,
     trace,
@@ -183,13 +182,67 @@ def test_lyndon_basis_counts_and_lieness():
             assert dsw_is_lie(p), p
 
 
+def _is_lyndon(word, alphabet):
+    # strictly smaller than each of its proper rotations
+    key = tuple(alphabet.index(a) for a in word)
+    return bool(key) and all(key < key[i:] + key[:i] for i in range(1, len(key)))
+
+
+def reference_bracketing(word, alphabet):
+    """Standard bracketing of a Lyndon word, recursively: split at the
+    longest proper Lyndon suffix, found by the rotation test, and bracket
+    the two halves.  The reference for the table behind lyndon_basis."""
+    word, alphabet = tuple(word), tuple(alphabet)
+    assert _is_lyndon(word, alphabet), word
+    if len(word) == 1:
+        return NCPoly.letter(alphabet, word[0])
+    i = next(i for i in range(1, len(word)) if _is_lyndon(word[i:], alphabet))
+    return lie_bracket(reference_bracketing(word[:i], alphabet),
+                       reference_bracketing(word[i:], alphabet))
+
+
+def _table_entry(word):
+    return lyndon_basis(len(word), XY)[lyndon_words(len(word), XY).index(tuple(word))]
+
+
 def test_lyndon_bracketing_pins():
     b = lambda u, v: lie_bracket(u, v)
     xy = b(X, Y)
-    assert lyndon_bracketing("xyyy", XY) == b(b(b(X, Y), Y), Y)
-    assert lyndon_bracketing("xxyy", XY) == b(X, b(b(X, Y), Y))
-    assert lyndon_bracketing("xxy", XY) == b(X, xy)
-    assert lyndon_bracketing("xyy", XY) == b(xy, Y)
+    pins = {
+        "xyyy": b(b(b(X, Y), Y), Y),
+        "xxyy": b(X, b(b(X, Y), Y)),
+        "xxy": b(X, xy),
+        "xyy": b(xy, Y),
+        "xyxyy": b(xy, b(xy, Y)),
+    }
+    for word, want in pins.items():
+        assert reference_bracketing(word, XY) == want, word
+        assert _table_entry(word) == want, word
+
+
+def test_lyndon_basis_is_the_reference_bracketing():
+    for alphabet, top in ((XY, 10), (("a", "b", "c"), 6)):
+        for w in range(1, top + 1):
+            assert lyndon_basis(w, alphabet) == [
+                reference_bracketing(wd, alphabet) for wd in lyndon_words(w, alphabet)
+            ], (alphabet, w)
+
+
+def test_lyndon_table_brackets_once_per_word(monkeypatch):
+    calls = []
+    real = ncword.lie_bracket
+
+    def counting(a, b):
+        calls.append(homogeneous_weight(a) + homogeneous_weight(b))
+        return real(a, b)
+
+    monkeypatch.setattr(ncword, "lie_bracket", counting)
+    ncword._lyndon_table.cache_clear()
+    for w in range(1, 9):
+        lyndon_basis(w, XY)
+    lyndon_basis(8, XY)
+    assert sorted(calls) == sorted(len(wd) for w in range(2, 9)
+                                   for wd in lyndon_words(w, XY))
 
 
 def test_lyndon_basis_spans_w5():
@@ -211,18 +264,20 @@ def test_lyndon_basis_memo_hands_out_fresh_lists():
     first.append(NCPoly.zero(XY))
     third = lyndon_basis(6, XY)
     assert len(third) == witt_dimension(6, 2)
-    assert third == [lyndon_bracketing(wd, XY) for wd in lyndon_words(6, XY)]
+    assert third == [reference_bracketing(wd, XY) for wd in lyndon_words(6, XY)]
 
 
-# A length below 1, an empty alphabet and a repeated letter are ValueErrors
-# that name the function, raised before the memo is looked at, also under
-# python -O.
+# A length below 1 or a bool, an empty alphabet and a repeated letter are
+# ValueErrors that name the function, raised before the memo is looked at,
+# also under python -O.
 LYNDON_CALLS = {
     "lyndon_words n=0": "ncword.lyndon_words(0, ('x', 'y'))",
+    "lyndon_words n=True": "ncword.lyndon_words(True, ('x', 'y'))",
     "lyndon_words empty": "ncword.lyndon_words(2, ())",
     "lyndon_words repeated": "ncword.lyndon_words(2, ('x', 'x'))",
     "lyndon_basis n=0": "ncword.lyndon_basis(0, ('x', 'y'))",
     "lyndon_basis n=-1": "ncword.lyndon_basis(-1, ('x', 'y'))",
+    "lyndon_basis n=True": "ncword.lyndon_basis(True, ('x', 'y'))",
     "lyndon_basis empty": "ncword.lyndon_basis(2, ())",
     "lyndon_basis repeated": "ncword.lyndon_basis(2, ('x', 'x'))",
 }
@@ -230,12 +285,12 @@ LYNDON_CALLS = {
 _RAISED = """
 import mouldkit.ncword as ncword
 for case, call in CALLS.items():
-    before = ncword._lyndon_brackets.cache_info()
+    before = ncword._lyndon_table.cache_info()
     try:
         eval(call, {"ncword": ncword})
     except Exception as e:
         print(case, "|", isinstance(e, ValueError), case.split()[0] in str(e),
-              ncword._lyndon_brackets.cache_info() == before)
+              ncword._lyndon_table.cache_info() == before)
     else:
         print(case, "|", "nothing")
 """
@@ -257,10 +312,10 @@ def lyndon_raised_under_optimize():
 
 @pytest.mark.parametrize("case", sorted(LYNDON_CALLS))
 def test_lyndon_rejects_bad_arguments(case, lyndon_raised_under_optimize):
-    before = ncword._lyndon_brackets.cache_info()
+    before = ncword._lyndon_table.cache_info()
     with pytest.raises(ValueError, match=case.split()[0]):
         eval(LYNDON_CALLS[case], {"ncword": ncword})
-    assert ncword._lyndon_brackets.cache_info() == before
+    assert ncword._lyndon_table.cache_info() == before
     assert lyndon_raised_under_optimize[case] == "True True True"
 
 
@@ -518,7 +573,7 @@ def test_lyndon_combination_is_the_bracket_sum(w, data):
 
 
 def test_lyndon_combination_needs_one_coordinate_per_bracket():
-    assert lyndon_combination([2, 0], 3, XY) == 2 * lyndon_bracketing("xxy", XY)
+    assert lyndon_combination([2, 0], 3, XY) == 2 * reference_bracketing("xxy", XY)
     with pytest.raises(ValueError, match="lyndon_combination"):
         lyndon_combination([1], 3, XY)
 

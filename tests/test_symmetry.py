@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import mouldkit.mould
 import mouldkit.symmetry
 from mouldkit import cli
-from mouldkit.kernel import MultiPoly, NoSolution, RatMatrix, nullspace
+from mouldkit.kernel import MultiPoly, NoSolution, RatMatrix, embed_vars, nullspace
 from mouldkit.mould import (
     ConstantMould,
     Mould,
@@ -131,6 +131,30 @@ def test_alternil_no_solution_carries_defects():
     p, q, defect = res.defects[0]
     assert (p, q) == (1, 1)
     assert defect == v(2, 1) + v(2, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(moulds(max_depth=5, max_deg=3))
+def test_alternility_defect_qp_is_pq_with_blocks_swapped(mo):
+    # what lets alternil_up_to_constant sum only the splits p <= q
+    for m in range(2, mo.depth + 1):
+        for p in range(1, m):
+            q = m - p
+            swapped = list(range(q, m)) + list(range(q))
+            assert (embed_vars(alternility_defect(mo, p, q), swapped, m)
+                    == alternility_defect(mo, q, p)), (m, p)
+    residual = []
+    for m in range(2, mo.depth + 1):
+        c_m = -alternility_defect(mo, 1, m - 1).coefficient((0,) * m) / m
+        for p in range(1, m):
+            d = alternility_defect(mo, p, m - p) + MultiPoly.const(m, comb(m, p) * c_m)
+            if not d.is_zero():
+                residual.append((p, m - p, d))
+    got = alternil_up_to_constant(mo)
+    if residual:
+        assert isinstance(got, NoSolution) and got.defects == residual
+    else:
+        assert isinstance(got, AlternilityCertificate), got
 
 
 def test_alternil_nonzero_depth_zero_is_no_solution():

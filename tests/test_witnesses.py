@@ -37,7 +37,6 @@ from mouldkit.ncword import (
     homogeneous_weight,
     lie_bracket,
     lyndon_basis,
-    lyndon_bracketing,
 )
 from mouldkit.symmetry import (
     alternal_witness,
@@ -410,7 +409,7 @@ BAD_INPUT = [
     (TypeError, lambda: pusnu_witness(None)),
     (ValueError, lambda: bridge.vimo(NCPoly.from_word(XY, ("x", "y")), 3)),
     (AlphabetError, lambda: NCPoly(("x", "x"), {("x",): 1})),
-    (ValueError, lambda: lyndon_bracketing(("y", "x"), XY)),
+    (ValueError, lambda: lyndon_basis(True, XY)),
     (AlphabetError, lambda: star_regularize(K3_AB)),
     (ValueError, lambda: MultiPoly.var(1, 0) ** -1),
     (ValueError, lambda: P1 ** -2),
@@ -456,7 +455,7 @@ def test_bad_input_raises_under_optimize():
         "from mouldkit.liealg import (dmr_witness, krv_basis, krv_witness, solve_G,\n"
         "                             star_regularize)\n"
         "from mouldkit.mould import pus_sum\n"
-        "from mouldkit.ncword import AlphabetError, NCPoly, lyndon_bracketing\n"
+        "from mouldkit.ncword import AlphabetError, NCPoly, lyndon_basis\n"
         "from mouldkit.symmetry import (alternal_witness, ari_alil_space,\n"
         "                               ari_sena_pusnu_space)\n"
         "xy = NCPoly.from_word(('x', 'y'), ('x', 'y'))\n"
@@ -467,7 +466,7 @@ def test_bad_input_raises_under_optimize():
         "m2, m3 = MultiPoly(2, {(1, 0): 1}), MultiPoly(3, {(0, 0, 1): 1})\n"
         "checks = [(ValueError, lambda: vimo(xy, 3)),\n"
         "          (AlphabetError, lambda: NCPoly(('x', 'x'), {('x',): 1})),\n"
-        "          (ValueError, lambda: lyndon_bracketing(('y', 'x'), ('x', 'y'))),\n"
+        "          (ValueError, lambda: lyndon_basis(True, ('x', 'y'))),\n"
         "          (AlphabetError, lambda: star_regularize(ab)),\n"
         "          (ValueError, lambda: MultiPoly.var(1, 0) ** -1),\n"
         "          (ValueError, lambda: xy ** -2),\n"
