@@ -62,6 +62,9 @@ XY = ("x", "y")
 
 # fixed seed for the sampled campaign items; reports must not vary run to run
 SUITE_SEED = 271828
+# paper-suite's largest --max-weight: no section checks anything above it,
+# so a larger bound would report checks never made
+SUITE_MAX_WEIGHT = 8
 
 
 class ParseError(ValueError):
@@ -187,22 +190,14 @@ def _solve(algebra, weight):
 # ---------------------------------------------------------------------------
 # report assembly
 
-def _check(name, ok, witness=None):
-    entry = {"name": name, "status": "pass" if ok else "fail"}
-    if not ok:
-        assert witness is not None, name
-        entry["witness"] = witness
-    return entry
-
-
-def _verdict(name, witness):
+def _entry(name, witness=None):
     """The check entry for a predicate's first failure (None: it holds).
     Rationals go through fmt_rat, polynomials through mp_to_json, and a
     primitivity defect mapping becomes its first four entries, with each
     composition written as y-letters and sorted as tuples of those letter
     strings ("y10" before "y2")."""
     if witness is None:
-        return _check(name, True)
+        return {"name": name, "status": "pass"}
     out = {}
     for key, v in witness.items():
         if isinstance(v, Fraction):
@@ -217,10 +212,14 @@ def _verdict(name, witness):
                 for (left, right), c in entries[:4]
             ]
         out[key] = v
-    return _check(name, False, out)
+    return {"name": name, "status": "fail", "witness": out}
 
 
-def _assemble(echo, checks, conjectural=None, timings=None):
+def _assemble(echo, entries, timings=None):
+    """The report on entries: checks carry a status, exploratory results
+    (senary past r = 3) a result."""
+    checks = [e for e in entries if "status" in e]
+    conjectural = [e for e in entries if "result" in e]
     report = {
         "command": echo,
         "inputs_digest": _digest(echo),
@@ -274,17 +273,17 @@ def _load_json(path):
         raise ParseError("invalid JSON: %s" % e.msg, "%s:%d:%d" % (path, e.lineno, e.colno))
 
 
-def _senary_items(mo, label, rmax, checks, conjectural):
+def _senary_items(mo, label, rmax):
+    """senary r = 1..rmax on mo: checks to r = 3, exploratory results above."""
+    entries = []
     for r in range(1, rmax + 1):
+        name = "senary r=%d [%s]" % (r, label)
         defect = senary_defect(mo, r)
-        ok = defect.is_zero()
         if r <= 3:
-            witness = None if ok else {"r": r, "defect": mp_to_json(defect)}
-            checks.append(_check("senary r=%d [%s]" % (r, label), ok, witness))
+            entries.append(_entry(name, None if defect.is_zero() else {"r": r, "defect": defect}))
         else:
-            conjectural.append(
-                {"name": "senary r=%d [%s]" % (r, label), "result": "holds" if ok else "fails"}
-            )
+            entries.append({"name": name, "result": "holds" if defect.is_zero() else "fails"})
+    return entries
 
 
 def _check_rmax(rmax):
@@ -299,31 +298,31 @@ def cmd_verify_senary(args):
     rmax = args.rmax
     _check_rmax(rmax)
     echo = {"command": "verify-senary", "rmax": rmax}
-    checks, conjectural = [], []
+    entries = []
     if args.input is not None and args.weight is not None:
         raise ParseError("--weight and --input exclude each other", "arguments")
     if args.input is not None:
         echo["input"] = os.path.basename(args.input)
         obj = _load_json(args.input)
-        entries = obj if isinstance(obj, list) else [obj]
-        if not entries:
+        items = obj if isinstance(obj, list) else [obj]
+        if not items:
             raise ParseError("no moulds to check", "input")
         moulds = [
-            mould_from_json(entry, loc="input.%d" % i)
-            for i, entry in enumerate(entries)
+            mould_from_json(item, loc="input.%d" % i)
+            for i, item in enumerate(items)
         ]
         for i, mo in enumerate(moulds):
-            _senary_items(mo, "element %d" % i, rmax, checks, conjectural)
+            entries += _senary_items(mo, "element %d" % i, rmax)
     else:
         w = args.weight
         if w is None:
             raise ParseError("--weight or --input is required", "arguments")
         echo["weight"] = w
         basis = dmr_basis(w)
-        checks.append(_check("dmr basis solved (dim %d)" % basis.dimension, True))
+        entries.append(_entry("dmr basis solved (dim %d)" % basis.dimension))
         for i, f in enumerate(basis.elements()):
-            _senary_items(ma(f), "element %d" % i, rmax, checks, conjectural)
-    return _assemble(echo, checks, conjectural)
+            entries += _senary_items(ma(f), "element %d" % i, rmax)
+    return _assemble(echo, entries)
 
 
 def cmd_basis(args):
@@ -331,11 +330,10 @@ def cmd_basis(args):
     t0 = time.monotonic()
     basis = _solve(args.algebra, args.weight)
     elapsed = time.monotonic() - t0
-    checks = [
-        _check("%s basis at weight %d: dimension %d"
-               % (args.algebra, args.weight, basis.dimension), True)
-    ]
-    report = _assemble(echo, checks)
+    report = _assemble(echo, [
+        _entry("%s basis at weight %d: dimension %d"
+               % (args.algebra, args.weight, basis.dimension))
+    ])
     report["basis"] = {
         "ambient": ["".join(wd) for wd in basis.ambient],
         "vectors": [[fmt_rat(c) for c in v] for v in basis.vectors],
@@ -359,74 +357,49 @@ def _property_weight(p, loc):
     return w
 
 
-def _check_mould_property(prop, mo, rmax):
-    checks, conjectural = [], []
-    if prop == "alternal":
-        checks.append(_verdict("alternal", alternal_witness(mo)))
-    elif prop == "alternil":
-        got = alternil_up_to_constant(mo)
-        if isinstance(got, NoSolution):
-            if not mo.components[0].is_zero():
-                witness = {"m0": fmt_rat(mo.components[0].coefficient(()))}
-            else:
-                witness = {
-                    "splits": [
-                        {"p": p, "q": q, "defect": mp_to_json(d)}
-                        for p, q, d in got.defects
-                    ]
-                }
-            checks.append(_check("alternil up to constants", False, witness))
-        else:
-            checks.append(_check("alternil up to constants", True))
-            checks.append(
-                _check(
-                    "constants: %s"
-                    % [fmt_rat(got.constant.value(m)) for m in range(mo.depth + 1)],
-                    True,
-                )
-            )
-    elif prop == "pusnu":
-        checks.append(_verdict("pus-neutral", pusnu_witness(mo)))
-    else:
-        assert prop == "senary", prop
-        _senary_items(mo, "input", rmax, checks, conjectural)
-    return checks, conjectural
+def _alternil(mo, rmax):
+    got = alternil_up_to_constant(mo)
+    name = "alternil up to constants"
+    if not isinstance(got, NoSolution):
+        values = [fmt_rat(got.constant.value(m)) for m in range(mo.depth + 1)]
+        return [_entry(name), _entry("constants: %s" % values)]
+    if not got.defects:  # M^0 is nonzero
+        return [_entry(name, {"m0": mo.components[0].coefficient(())})]
+    return [_entry(name, {"splits": [{"p": p, "q": q, "defect": mp_to_json(d)}
+                                     for p, q, d in got.defects]})]
 
 
-def _check_poly_property(prop, p):
-    checks = []
-    w = _property_weight(p, "input")
-    if prop == "kv1":
-        got = solve_G(p, w)
-        if isinstance(got, NoSolution):
-            checks.append(_check("kv1 solvable", False, {"reason": got.reason}))
-        else:
-            checks.append(_check("kv1 solvable", True))
-            checks.append(_check("G = %s" % json.dumps(poly_to_json(got)), True))
-    elif prop == "kv2":
-        G = solve_G(p, w)
-        if isinstance(G, NoSolution):
-            checks.append(
-                _check("kv2", False, {"stage": "kv1", "reason": G.reason})
-            )
-        else:
-            alpha = kv2_check(p, G, w)
-            if isinstance(alpha, NoSolution):
-                checks.append(
-                    _check("kv2", False, {"stage": "kv2", "reason": alpha.reason})
-                )
-            else:
-                checks.append(_check("kv2 alpha = %s" % fmt_rat(alpha), True))
-    elif prop == "krv":
-        checks.append(_verdict("krv membership", krv_witness(p, w)))
-    else:
-        assert prop == "dmr", prop
-        checks.append(_verdict("dmr membership", dmr_witness(p, w)))
-    return checks
+def _kv1(p, w):
+    G = solve_G(p, w)
+    if isinstance(G, NoSolution):
+        return [_entry("kv1 solvable", {"reason": G.reason})]
+    return [_entry("kv1 solvable"), _entry("G = %s" % json.dumps(poly_to_json(G)))]
 
 
-MOULD_PROPS = ("alternal", "alternil", "pusnu", "senary")
-POLY_PROPS = ("kv1", "kv2", "dmr", "krv")
+def _kv2(p, w):
+    G = solve_G(p, w)
+    if isinstance(G, NoSolution):
+        return [_entry("kv2", {"stage": "kv1", "reason": G.reason})]
+    alpha = kv2_check(p, G, w)
+    if isinstance(alpha, NoSolution):
+        return [_entry("kv2", {"stage": "kv2", "reason": alpha.reason})]
+    return [_entry("kv2 alpha = %s" % fmt_rat(alpha))]
+
+
+# property name -> its entries, from (mould, rmax) or (polynomial, weight);
+# the order is that of the check command's choices
+MOULD_PROPS = {
+    "alternal": lambda mo, rmax: [_entry("alternal", alternal_witness(mo))],
+    "alternil": _alternil,
+    "pusnu": lambda mo, rmax: [_entry("pus-neutral", pusnu_witness(mo))],
+    "senary": lambda mo, rmax: _senary_items(mo, "input", rmax),
+}
+POLY_PROPS = {
+    "kv1": _kv1,
+    "kv2": _kv2,
+    "dmr": lambda p, w: [_entry("dmr membership", dmr_witness(p, w))],
+    "krv": lambda p, w: [_entry("krv membership", krv_witness(p, w))],
+}
 
 
 def cmd_check(args):
@@ -438,14 +411,12 @@ def cmd_check(args):
     if args.property == "senary":
         _check_rmax(args.rmax)
     obj = _load_json(args.input)
-    conjectural = []
     if args.property in MOULD_PROPS:
-        mo = mould_from_json(obj)
-        checks, conjectural = _check_mould_property(args.property, mo, args.rmax)
+        entries = MOULD_PROPS[args.property](mould_from_json(obj), args.rmax)
     else:
         p = poly_from_json(obj)
-        checks = _check_poly_property(args.property, p)
-    return _assemble(echo, checks, conjectural)
+        entries = POLY_PROPS[args.property](p, _property_weight(p, "input"))
+    return _assemble(echo, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -468,21 +439,13 @@ def _random_mould(rng, depth, deg):
     return Mould.from_components(depth, comps)
 
 
-def _suite_senary_on_dmr(checks, wmax, basis_of):
-    for w in range(3, min(8, wmax) + 1):
+def _suite_senary_on_dmr(wmax, basis_of):
+    for w in range(3, wmax + 1):
         for i, f in enumerate(basis_of("dmr", w).elements()):
-            mo = ma(f)
-            for r in (1, 2, 3):
-                checks.append(
-                    _check(
-                        "senary r=%d [dmr w=%d element %d]" % (r, w, i),
-                        senary_holds(mo, r),
-                        {"r": r, "w": w},
-                    )
-                )
+            yield from _senary_items(ma(f), "dmr w=%d element %d" % (w, i), 3)
 
 
-def _suite_equivalences(checks, wmax, rng):
+def _suite_equivalences(wmax, rng):
     for w in range(3, min(7, wmax) + 1):
         samples = list(lyndon_basis(w, XY))
         samples += [_random_lie(rng, w) for _ in range(20)]
@@ -493,35 +456,28 @@ def _suite_equivalences(checks, wmax, rng):
             f = F_to_ftilde(F)
             mo = ma(f)
             sen_ok = all(senary_holds(mo, r) for r in range(1, w + 1))
-            checks.append(
-                _check(
-                    "equivalence kv1<->senary [w=%d sample %d]" % (w, i),
-                    g_ok == sen_ok,
-                    {"w": w, "kv1": g_ok, "senary": sen_ok},
-                )
+            yield _entry(
+                "equivalence kv1<->senary [w=%d sample %d]" % (w, i),
+                None if g_ok == sen_ok else {"w": w, "kv1": g_ok, "senary": sen_ok},
             )
             fx, fy = decompose_right(f)
             pal_ok = is_anti_palindromic(fy + fx, w - 1)
-            checks.append(
-                _check(
-                    "equivalence kv1<->antipalindrome [w=%d sample %d]" % (w, i),
-                    g_ok == pal_ok,
-                    {"w": w, "kv1": g_ok, "antipalindrome": pal_ok},
-                )
+            yield _entry(
+                "equivalence kv1<->antipalindrome [w=%d sample %d]" % (w, i),
+                None if g_ok == pal_ok else {"w": w, "kv1": g_ok, "antipalindrome": pal_ok},
             )
 
 
-def _suite_senary_oracle(checks, rng):
+def _suite_senary_oracle(rng):
     for i in range(50):
         mo = _random_mould(rng, rng.randint(1, 4), 4)
         for r in (1, 2, 3):
             agree = senary_holds(mo, r) == senary_eq41_holds(mo, r)
-            checks.append(
-                _check("senary oracle agreement [mould %d r=%d]" % (i, r), agree, {"r": r})
-            )
+            yield _entry("senary oracle agreement [mould %d r=%d]" % (i, r),
+                         None if agree else {"r": r})
 
 
-def _suite_operator_pin(checks, rng):
+def _suite_operator_pin(rng):
     for i in range(10):
         mo = _random_mould(rng, rng.randint(1, 3), 4)
         lhs_m = teru(mo)
@@ -531,10 +487,10 @@ def _suite_operator_pin(checks, rng):
             and rhs_m.component(r) == senary_rhs(mo, r)
             for r in range(1, 5)
         )
-        checks.append(_check("operator expansion pin [mould %d]" % i, ok, {"mould": i}))
+        yield _entry("operator expansion pin [mould %d]" % i, None if ok else {"mould": i})
 
 
-def _suite_homomorphism(checks, rng):
+def _suite_homomorphism(rng):
     for i in range(20):
         w1 = rng.randint(1, 3)
         h1 = NCPoly.zero(XY)
@@ -548,10 +504,10 @@ def _suite_homomorphism(checks, rng):
             else:
                 h2 = h2 * _random_lie(rng, 2)
         ok = ma(h1 * h2) == mould_mul(ma(h1), ma(h2))
-        checks.append(_check("ma homomorphism [pair %d]" % i, ok, {"pair": i}))
+        yield _entry("ma homomorphism [pair %d]" % i, None if ok else {"pair": i})
 
 
-def _suite_vimo_invariants(checks, rng, wmax):
+def _suite_vimo_invariants(rng, wmax):
     for w in range(1, min(6, wmax) + 1):
         f = _random_lie(rng, w)
         if f.is_zero():
@@ -566,82 +522,65 @@ def _suite_vimo_invariants(checks, rng, wmax):
                 forms.append(tuple(row))
             translated = substitute(p, forms, n)
             if r >= 1 or w >= 2:
-                checks.append(
-                    _check(
-                        "vimo translation invariance [w=%d r=%d]" % (w, r),
-                        p == translated,
-                        {"w": w, "r": r},
-                    )
-                )
+                yield _entry("vimo translation invariance [w=%d r=%d]" % (w, r),
+                             None if p == translated else {"w": w, "r": r})
             negated = substitute(
                 p, [tuple(-1 if j == i else 0 for j in range(n)) for i in range(n)], n
             )
             sign = 1 if (w - r) % 2 == 0 else -1
-            checks.append(
-                _check(
-                    "vimo parity [w=%d r=%d]" % (w, r),
-                    p == sign * negated,
-                    {"w": w, "r": r},
-                )
-            )
+            yield _entry("vimo parity [w=%d r=%d]" % (w, r),
+                         None if p == sign * negated else {"w": w, "r": r})
 
 
-def _suite_dimensions(checks, wmax, basis_of):
+def _suite_dimensions(wmax, basis_of):
     for w in range(3, min(6, wmax) + 1):
         dmr_dim = basis_of("dmr", w).dimension
         alil_dim = len(ari_alil_space(w))
-        checks.append(
-            _check(
-                "dimension dmr=%d vs alternal/alternil mould space=%d [w=%d]"
-                % (dmr_dim, alil_dim, w),
-                dmr_dim == alil_dim,
-                {"w": w, "dmr": dmr_dim, "moulds": alil_dim},
-            )
+        yield _entry(
+            "dimension dmr=%d vs alternal/alternil mould space=%d [w=%d]"
+            % (dmr_dim, alil_dim, w),
+            None if dmr_dim == alil_dim else {"w": w, "dmr": dmr_dim, "moulds": alil_dim},
         )
         krv_f = basis_of("krv", w).elements()
         fil2_krv = fil2_dimension([F_to_ftilde(F) for F in krv_f])
         sena_dim = len(ari_sena_pusnu_space(w))
-        checks.append(
-            _check(
-                "dimension fil2 krv=%d vs senary/pusnu mould space=%d [w=%d]"
-                % (fil2_krv, sena_dim, w),
-                fil2_krv == sena_dim,
-                {"w": w, "krv_fil2": fil2_krv, "moulds": sena_dim},
-            )
+        yield _entry(
+            "dimension fil2 krv=%d vs senary/pusnu mould space=%d [w=%d]"
+            % (fil2_krv, sena_dim, w),
+            None if fil2_krv == sena_dim else {"w": w, "krv_fil2": fil2_krv, "moulds": sena_dim},
         )
 
 
-def _suite_embedding(checks, wmax, basis_of):
+def _suite_embedding(wmax, basis_of):
     for w in (3, 5):
         if w > wmax:
             continue
         for i, f in enumerate(basis_of("dmr", w).elements()):
             # dmr vectors are stated in f-tilde coordinates; map back
             ok = krv_witness(ftilde_to_F(f), w) is None
-            checks.append(
-                _check("embedding dmr->krv [w=%d element %d]" % (w, i), ok, {"w": w})
-            )
+            yield _entry("embedding dmr->krv [w=%d element %d]" % (w, i),
+                         None if ok else {"w": w})
 
 
-def _suite_constant_vanishing(checks, wmax, basis_of):
-    for w in range(3, min(8, wmax) + 1):
+def _suite_constant_vanishing(wmax, basis_of):
+    for w in range(3, wmax + 1):
         for i, f in enumerate(basis_of("dmr", w).elements()):
             cert = alternil_up_to_constant(swap(ma(f)))
             ok = not isinstance(cert, NoSolution) and cert.constant.value(2) == 0
-            checks.append(
-                _check(
-                    "alternility certificate C2=0 [dmr w=%d element %d]" % (w, i),
-                    ok,
-                    {"w": w},
-                )
-            )
+            yield _entry("alternility certificate C2=0 [dmr w=%d element %d]" % (w, i),
+                         None if ok else {"w": w})
+
+
+def _suite_krv2(basis_of):
+    dim = basis_of("krv", 2).dimension
+    yield _entry("krv trivial at weight 2 (dim %d)" % dim, None if dim == 0 else {"w": 2})
 
 
 def cmd_paper_suite(args):
     wmax = args.max_weight
-    if not 2 <= wmax <= WEIGHT_BOUND:
+    if not 2 <= wmax <= SUITE_MAX_WEIGHT:
         raise WeightBoundError(
-            "max weight %d outside [2, %d]" % (wmax, WEIGHT_BOUND)
+            "max weight %d outside [2, %d]" % (wmax, SUITE_MAX_WEIGHT)
         )
     echo = {"command": "paper-suite", "max_weight": wmax}
     # one solve per (algebra, weight) for this invocation only
@@ -650,25 +589,22 @@ def cmd_paper_suite(args):
     checks = []
     timings = {}
 
-    def timed(name, fn, *fnargs):
+    def timed(name, section):
         t0 = time.monotonic()
-        fn(*fnargs)
+        checks.extend(section)
         timings[name] = round(time.monotonic() - t0, 3)
 
-    timed("krv2", lambda: checks.append(
-        _check("krv trivial at weight 2 (dim %d)" % basis_of("krv", 2).dimension,
-               basis_of("krv", 2).dimension == 0, {"w": 2})
-    ))
+    timed("krv2", _suite_krv2(basis_of))
     if wmax >= 3:
-        timed("senary-dmr", _suite_senary_on_dmr, checks, wmax, basis_of)
-        timed("equivalences", _suite_equivalences, checks, wmax, rng)
-        timed("senary-oracle", _suite_senary_oracle, checks, rng)
-        timed("operator-pin", _suite_operator_pin, checks, rng)
-        timed("homomorphism", _suite_homomorphism, checks, rng)
-        timed("vimo-invariants", _suite_vimo_invariants, checks, rng, wmax)
-        timed("dimensions", _suite_dimensions, checks, wmax, basis_of)
-        timed("embedding", _suite_embedding, checks, wmax, basis_of)
-        timed("constants", _suite_constant_vanishing, checks, wmax, basis_of)
+        timed("senary-dmr", _suite_senary_on_dmr(wmax, basis_of))
+        timed("equivalences", _suite_equivalences(wmax, rng))
+        timed("senary-oracle", _suite_senary_oracle(rng))
+        timed("operator-pin", _suite_operator_pin(rng))
+        timed("homomorphism", _suite_homomorphism(rng))
+        timed("vimo-invariants", _suite_vimo_invariants(rng, wmax))
+        timed("dimensions", _suite_dimensions(wmax, basis_of))
+        timed("embedding", _suite_embedding(wmax, basis_of))
+        timed("constants", _suite_constant_vanishing(wmax, basis_of))
     return _assemble(echo, checks, timings=timings if args.timings else None)
 
 
@@ -698,7 +634,7 @@ def _parser():
     ba.set_defaults(fn=cmd_basis)
 
     ck = sub.add_parser("check", help="single property check on a file")
-    ck.add_argument("property", choices=MOULD_PROPS + POLY_PROPS)
+    ck.add_argument("property", choices=[*MOULD_PROPS, *POLY_PROPS])
     ck.add_argument("--input", required=True)
     ck.add_argument("--rmax", type=int, default=3)
     ck.set_defaults(fn=cmd_check)

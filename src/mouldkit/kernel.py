@@ -91,9 +91,12 @@ class NoSolution:
 
 
 def rat(x):
-    """Coerce ints, strings like '2/3', and Fractions to Fraction."""
+    """Coerce ints, strings like '2/3', and Fractions to Fraction.  A float
+    is a TypeError: Fraction(0.1) is a binary fraction, not 1/10."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, float):
+        raise TypeError("a coefficient must be exact, got the float %r" % x)
     return Fraction(x)
 
 

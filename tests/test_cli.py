@@ -477,8 +477,18 @@ def test_paper_suite_weight2_and_bound(capsys):
     assert len(report["checks"]) == 1
     assert "krv trivial at weight 2" in report["checks"][0]["name"]
 
-    assert main(["paper-suite", "--max-weight", "13"]) == 2
-    assert "weight out of bounds" in capsys.readouterr().err
+    # no section checks above weight 8, so 9 is refused like 13
+    for wmax in ("9", "13"):
+        assert main(["paper-suite", "--max-weight", wmax]) == 2
+        assert "weight out of bounds" in capsys.readouterr().err
+
+
+def test_check_lists_its_properties_in_order(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["check", "bogus", "--input", "unused.json"])
+    assert done.value.code == 2
+    assert ("invalid choice: 'bogus' (choose from 'alternal', 'alternil', "
+            "'pusnu', 'senary', 'kv1', 'kv2', 'dmr', 'krv')") in capsys.readouterr().err
 
 
 def test_paper_suite_reports_are_byte_identical(capsys):

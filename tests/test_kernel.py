@@ -430,6 +430,56 @@ def test_rat_coercion():
     assert rat(Fraction(1, 7)) == Fraction(1, 7)
 
 
+# -- floats are refused, also under python -O -------------------------------
+
+# Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10: every
+# entry point that coerces a coefficient raises TypeError for a float.
+FLOAT_CALLS = {
+    "MultiPoly": "kernel.MultiPoly(1, {(1,): 0.1})",
+    "MultiPoly scale": "0.1 * kernel.MultiPoly(1, {(1,): 1})",
+    "NCPoly scale": "0.1 * ncword.NCPoly.letter(('x', 'y'), 'x')",
+    "Mould scale": "0.1 * mould.Mould.zero(1)",
+    "ConstantMould": "mould.ConstantMould([0.1])",
+    "SubspaceBasis": "liealg.SubspaceBasis(2, [('x', 'y')], [[0.1]])",
+    "rat": "kernel.rat(0.5)",
+}
+
+_FLOAT_RAISED = """
+from mouldkit import kernel, liealg, mould, ncword
+for case, call in CALLS.items():
+    try:
+        eval(call)
+    except Exception as e:
+        print(case, "|", type(e).__name__)
+    else:
+        print(case, "|", "nothing")
+"""
+
+
+@pytest.fixture(scope="module")
+def float_raised_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", "CALLS = %r\n%s" % (FLOAT_CALLS, _FLOAT_RAISED)],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return dict(line.split(" | ") for line in done.stdout.splitlines())
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_CALLS))
+def test_float_coefficients_are_refused(case, float_raised_under_optimize):
+    from mouldkit import kernel, liealg, mould, ncword
+
+    scope = {"kernel": kernel, "liealg": liealg, "mould": mould, "ncword": ncword}
+    with pytest.raises(TypeError, match="float"):
+        eval(FLOAT_CALLS[case], scope)
+    assert float_raised_under_optimize[case] == "TypeError"
+
+
 def test_term_kernel_module_contract():
     # profilers rebind the kernels on mouldkit._speed; callers look them up there
     import mouldkit

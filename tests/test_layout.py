@@ -62,3 +62,14 @@ def test_every_public_name_is_reached_outside_tests():
     unreached = {d for d in set(defs) - _reached(defs, outside)
                  if not d.split(".")[1].startswith("_")}
     assert unreached == set(UNREACHED), sorted(unreached ^ set(UNREACHED))
+
+
+def test_no_assert_in_src():
+    # validation must hold under python -O, which strips assert statements
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted((ROOT / "src" / "mouldkit").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == [], found
