@@ -7,6 +7,10 @@
 # that dmr membership applies before regularizing lives in star_regularize:
 # its sign (-1)^m on a word with m letters y cancels the (-1)^m of the
 # projection to y-words, so no separate pass flips or projects.
+#
+# delta_star recurses on the first letter, in integers.  dmr_basis solves
+# on the one-letter-left rows of the primitivity defect and certifies its
+# answer against the full defect (the argument is in its docstring).
 
 from fractions import Fraction
 from itertools import product
@@ -219,51 +223,52 @@ def _check_compositions(p, name):
         raise ValueError("%s needs int letters n >= 1, got %r" % (name, p.alphabet))
 
 
-def _word_coproduct(wd, memo):
-    """Delta_* of one y-word as {(left word, right word): positive int
-    count}, built from the coproduct of its prefix and kept in memo."""
-    got = memo.get(wd)
-    if got is None:
-        if not wd:
-            got = {((), ()): 1}
+def _numerators(p):
+    """p's coefficients as int numerators over their common denominator d:
+    (d, {word: numerator})."""
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    return d, {wd: c.numerator * (d // c.denominator) for wd, c in p.terms.items()}
+
+
+def _coproduct(terms):
+    """Delta_* of {y-word: int} as {(left word, right word): int}, by
+    Delta(y_a g) = sum_i (y_i (x) y_{a-i}) Delta(g): the words that share a
+    first letter a are expanded together, their tails' coproduct merged
+    before the splits of a are put in front."""
+    out, tails = {}, {}
+    for wd, c in terms.items():
+        if wd:
+            tails.setdefault(wd[0], {})[wd[1:]] = c
         else:
-            n = wd[-1]
-            splits = [((i,) if i else (), (n - i,) if n - i else ())
-                      for i in range(n + 1)]
-            got = {}
-            for (left, right), k in _word_coproduct(wd[:-1], memo).items():
-                for a, b in splits:
-                    key = (left + a, right + b)
-                    got[key] = got.get(key, 0) + k
-        memo[wd] = got
-    return got
+            out[(), ()] = c
+    for a, tail in tails.items():
+        splits = [((i,) if i else (), (a - i,) if a - i else ()) for i in range(a + 1)]
+        for (left, right), c in _coproduct(tail).items():
+            for u, v in splits:
+                key = (u + left, v + right)
+                out[key] = out.get(key, 0) + c
+    return out
 
 
-def delta_star(p, memo=None):
+def delta_star(p):
     """The coproduct with Delta(y_n) = sum_i y_i (x) y_{n-i}, y_0 = 1,
     extended multiplicatively to words and linearly; returned as a mapping
     (left word, right word) -> coefficient.  p is an NCPoly over int
     letters, the letter n standing for y_n.
 
-    memo, a dict, holds word coproducts for reuse by later calls; one
-    graded solve shares one."""
+    The count runs in integer numerators over the common denominator of
+    p's coefficients and recurses on the first letter (_coproduct), so its
+    work is bounded by the distinct (left, right) pairs, about w * 2^w at
+    weight w, not by the sum over words of prod (n_i + 1)."""
     _check_compositions(p, "delta_star")
-    if memo is None:
-        memo = {}
-    # integer numerators over the common denominator of p's coefficients
-    d = lcm(*(c.denominator for c in p.terms.values()))
-    acc = {}
-    for wd, c in p.terms.items():
-        a = c.numerator * (d // c.denominator)
-        for key, k in _word_coproduct(wd, memo).items():
-            acc[key] = acc.get(key, 0) + a * k
-    return {key: Fraction(v, d) for key, v in acc.items() if v}
+    d, terms = _numerators(p)
+    return {key: Fraction(v, d) for key, v in _coproduct(terms).items() if v}
 
 
-def primitivity_defect(p, memo=None):
+def primitivity_defect(p):
     """delta_star(p) - p (x) 1 - 1 (x) p, as the same kind of mapping."""
     _check_compositions(p, "primitivity_defect")
-    out = delta_star(p, memo)
+    out = delta_star(p)
     for wd, c in p.terms.items():
         for key in ((wd, ()), ((), wd)):
             v = out.get(key, Fraction(0)) - c
@@ -272,6 +277,23 @@ def primitivity_defect(p, memo=None):
             elif key in out:
                 del out[key]
     return out
+
+
+def _left_letter_defect(p):
+    """The entries of primitivity_defect(p) at ((a,), v) with v nonempty,
+    where p (x) 1 and 1 (x) p do not reach: a word gives one for each
+    letter y_n and each 1 <= a <= n, taking y_a out of y_n and leaving
+    y_{n-a} in its place (dropped when a = n)."""
+    d, terms = _numerators(p)
+    out = {}
+    for wd, c in terms.items():
+        for j, n in enumerate(wd):
+            head, tail = wd[:j], wd[j + 1:]
+            for a in range(1, n + 1):
+                v = head + (n - a,) + tail if a < n else head + tail
+                if v:
+                    out[(a,), v] = out.get(((a,), v), 0) + c
+    return {key: Fraction(v, d) for key, v in out.items() if v}
 
 
 def dmr_witness(f, w):
@@ -313,14 +335,30 @@ def _check_weight(w):
 def dmr_basis(w):
     """Basis of the weight-w double shuffle component, by exact nullspace
     of {c_xy = 0, primitivity of star_regularize} over the Lyndon
-    coordinates of L_w."""
+    coordinates of L_w.
+
+    The first solve keeps, of the primitivity defect, only the rows at
+    ((a,), v) with v nonempty (_left_letter_defect); by Hoffman (J.
+    Algebraic Combin. 11, 2000) these are the conditions d_{z_a} f_* = 0,
+    expected but not proved to cut out the same space.  They are a subset
+    of the full rows, so the kernel K contains dmr_w.  Each basis vector is
+    then certified exactly: its element must have c_xy = 0 (a row of both
+    systems) and a primitive star regularization.  If all pass, K lies in
+    dmr_w, so K = dmr_w, and the RREF-kernel basis, a function of the space
+    alone, is the one the full rows give.  If one fails, the basis is
+    solved again on the full primitivity defect."""
     _check_weight(w)
     words = lyndon_words(w, XY)
     brackets = lyndon_basis(w, XY)
     c_xy = [{("x", "y"): coefficient(b, ("x", "y"))} for b in brackets]
-    memo = {}  # word coproducts, shared by the brackets of this solve
-    defects = [primitivity_defect(star_regularize(b), memo) for b in brackets]
-    vectors = nullspace(RatMatrix(len(brackets), c_xy, defects))
+    regs = [star_regularize(b) for b in brackets]
+
+    def solve(defect):
+        return nullspace(RatMatrix(len(brackets), c_xy, [defect(r) for r in regs]))
+
+    vectors = solve(_left_letter_defect)
+    if any(primitivity_defect(star_regularize(lyndon_combination(v, w, XY))) for v in vectors):
+        vectors = solve(primitivity_defect)
     return SubspaceBasis(w, words, vectors)
 
 

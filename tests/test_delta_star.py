@@ -1,12 +1,14 @@
 """Differential tests for the dmr row build of liealg.py.
 
-delta_star counts each word's coproduct in integers, built from the
-coproduct of the word's prefix, and star_regularize maps f straight to
+delta_star counts the coproduct in integers, expanding the words that
+share a first letter together, and star_regularize maps f straight to
 y-words, spelled as compositions (tuples of positive ints).  The references
 below are the Fraction implementations they replaced: pi_Y and
 star_regularize over the letters "y1", "y2", ..., applied after the flip
-y -> -y (scale_letter), and delta_star over int letters.  Every case must
-agree with them exactly.  The input checks must hold under python -O too."""
+y -> -y (scale_letter), and delta_star over int letters, word by word.
+Every case must agree with them exactly, and so must the one-letter-left
+rows that dmr_basis solves on first.  The input checks must hold under
+python -O too."""
 
 import subprocess
 import sys
@@ -17,14 +19,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mouldkit import liealg
+from mouldkit import kernel, liealg
 from mouldkit.liealg import (
+    _left_letter_defect,
     delta_star,
     dmr_basis,
     primitivity_defect,
     star_regularize,
 )
-from mouldkit.ncword import NCPoly, coefficient
+from mouldkit.ncword import NCPoly, coefficient, lyndon_basis, lyndon_combination
 from test_ncword import scale_letter
 
 XY = ("x", "y")
@@ -119,6 +122,19 @@ def reference_delta_star(p):
     return out
 
 
+def reference_primitivity_defect(p):
+    """reference_delta_star(p) - p (x) 1 - 1 (x) p."""
+    out = reference_delta_star(p)
+    for wd, c in p.terms.items():
+        for key in ((wd, ()), ((), wd)):
+            v = out.get(key, Fraction(0)) - c
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+    return out
+
+
 # -- strategies ---------------------------------------------------------------
 
 
@@ -144,6 +160,12 @@ y_polys = st.dictionaries(y_words, rationals(), max_size=6).map(
 xy_polys = st.dictionaries(
     st.lists(st.sampled_from(XY), max_size=7).map(tuple), rationals(), max_size=8
 ).map(lambda terms: NCPoly(XY, terms))
+# dense y-polynomials: the star regularization of a random Lie element of
+# weight 7, which has a term on almost every composition of 7
+L7 = len(lyndon_basis(7, XY))
+dense_polys = st.lists(rationals(), min_size=L7, max_size=L7).map(
+    lambda cs: star_regularize(lyndon_combination(cs, 7, XY))
+)
 
 
 # -- differential tests -------------------------------------------------------
@@ -155,21 +177,22 @@ def test_delta_star_matches_fraction_reference(p):
     assert delta_star(p) == reference_delta_star(p)
 
 
-@settings(deadline=None, max_examples=50)
-@given(st.lists(y_polys, min_size=1, max_size=4))
-def test_shared_memo_changes_nothing(polys):
-    memo = {}
-    for p in polys:
-        want = reference_delta_star(p)
-        assert delta_star(p, memo) == want
-        for wd, c in p.terms.items():
-            for key in ((wd, ()), ((), wd)):
-                v = want.get(key, Fraction(0)) - c
-                if v:
-                    want[key] = v
-                else:
-                    want.pop(key, None)
-        assert primitivity_defect(p, memo) == want
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(y_polys, dense_polys))
+def test_primitivity_defect_matches_fraction_reference(p):
+    assert primitivity_defect(p) == reference_primitivity_defect(p)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(y_polys, dense_polys))
+def test_left_letter_defect_is_the_one_letter_left_part(p):
+    # dmr_basis's first solve is a subset of the full rows because of this
+    want = {
+        (left, right): c
+        for (left, right), c in reference_delta_star(p).items()
+        if len(left) == 1 and right
+    }
+    assert _left_letter_defect(p) == want
 
 
 @settings(deadline=None, max_examples=200)
@@ -183,23 +206,23 @@ def test_pi_y_and_star_regularize_match_fraction_reference(p):
     assert got == want and list(got.terms) == list(want.terms)
 
 
-def test_dmr_basis_memo_is_per_solve(monkeypatch):
-    # one memo for the brackets of one solve, a new one for the next solve
-    memos = []
-    real = liealg.primitivity_defect
+def test_dmr_basis_falls_back_to_full_rows(monkeypatch):
+    # with no one-letter-left rows the first kernel is too big, so the
+    # certificate fails and the full rows are solved: two kernels, same basis
+    want = {w: dmr_basis(w) for w in range(4, 9)}
+    calls = []
+    real = kernel._kernel
 
-    def recording(p, memo=None):
-        memos.append(memo)
-        return real(p, memo)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(liealg, "primitivity_defect", recording)
-    dmr_basis(5)
-    first = list(memos)
-    memos.clear()
-    dmr_basis(5)
-    assert len(first) == len(memos) > 1
-    assert len({id(m) for m in first}) == 1 and isinstance(first[0], dict)
-    assert memos[0] is not first[0]
+    monkeypatch.setattr(kernel, "_kernel", counting)
+    monkeypatch.setattr(liealg, "_left_letter_defect", lambda p: {})
+    for w, basis in want.items():
+        calls.clear()
+        assert dmr_basis(w) == basis
+        assert len(calls) == 2, w
 
 
 # -- input validation survives python -O --------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mouldkit import liealg
+from mouldkit import kernel, liealg
 from mouldkit.bridge import ftilde_to_F
 from mouldkit.kernel import NoSolution, RatMatrix, nullspace
 from mouldkit.liealg import (
@@ -38,6 +38,7 @@ from mouldkit.ncword import (
     decompose_right,
     lie_bracket,
     lyndon_basis,
+    lyndon_words,
     trace,
 )
 from mouldkit.symmetry import ari_alil_space
@@ -488,6 +489,32 @@ def test_dmr_members_and_complement():
                 break
         else:
             raise AssertionError("no complement witness at w=%d" % w)
+
+
+def full_row_dmr_basis(w):
+    """The dmr solve on every row of the primitivity defect, next to c_xy."""
+    brackets = lyndon_basis(w, XY)
+    c_xy = [{("x", "y"): coefficient(b, ("x", "y"))} for b in brackets]
+    defects = [primitivity_defect(star_regularize(b)) for b in brackets]
+    vectors = nullspace(RatMatrix(len(brackets), c_xy, defects))
+    return SubspaceBasis(w, lyndon_words(w, XY), vectors)
+
+
+def test_dmr_basis_is_the_full_row_solve(monkeypatch):
+    # the one-letter-left rows are certified at once: one kernel per solve
+    calls = []
+    real = kernel._kernel
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "_kernel", counting)
+    for w in range(2, 11):
+        calls.clear()
+        got = dmr_basis(w)
+        assert len(calls) == 1, w
+        assert got.vectors == full_row_dmr_basis(w).vectors, w
 
 
 # sha256 of json.dumps([[str(c) for c in v] for v in basis.vectors]),
